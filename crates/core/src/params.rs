@@ -19,8 +19,10 @@ pub struct CfcmParams {
     /// Master RNG seed — all sampling is deterministic given this.
     pub seed: u64,
     /// Worker threads for forest sampling *and* the blocked dense kernels
-    /// (1 = serial; selections are thread-count independent, and the
-    /// dense kernels are bit-identical across thread counts).
+    /// (1 = serial). The dense kernels are bit-identical across thread
+    /// counts. Forest sampling draws the same forests at any thread count,
+    /// but merges its floating-point sums per thread chunk, so Monte-Carlo
+    /// gains can differ in their last bits between thread counts.
     pub threads: usize,
     /// Override the JL sketch width (`None` = practical width from ε, n).
     pub jl_width: Option<usize>,

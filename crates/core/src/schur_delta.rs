@@ -198,9 +198,12 @@ fn compute_schur_deltas(
             continue;
         }
         let col = sketch_w.column(u as usize);
-        for &(ti, count) in rooted.entries(u) {
+        for (ti, &count) in rooted.row(u).iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
             let p = count as f64 * inv_n;
-            let row = wfq_t.row_mut(ti as usize);
+            let row = wfq_t.row_mut(ti);
             for j in 0..w {
                 row[j] += p * col[j];
             }
@@ -234,40 +237,32 @@ fn compute_schur_deltas(
             deltas[ui] = norm2_sq(ht.row(ti)) / zt;
             continue;
         }
-        // u ∈ U: top-left block.
-        let entries = rooted.entries(u);
-        // Quadratic form fᵀ G f: choose the cheaper evaluation order.
-        let quad = if entries.len() * entries.len() <= entries.len() * t_len {
-            let mut s = 0.0;
-            for &(ti, ci) in entries {
-                let pi = ci as f64 * inv_n;
-                for &(tj, cj) in entries {
-                    let pj = cj as f64 * inv_n;
-                    s += pi * pj * gmat.get(ti as usize, tj as usize);
+        // u ∈ U: top-left block. `gf` holds u's probability row F̃_{u·}.
+        for (p, &c) in gf.iter_mut().zip(rooted.row(u)) {
+            *p = c as f64 * inv_n;
+        }
+        // Quadratic form fᵀ G f over the non-zero entries.
+        let mut quad = 0.0;
+        for (ti, &pi) in gf.iter().enumerate() {
+            if pi == 0.0 {
+                continue;
+            }
+            let grow = gmat.row(ti);
+            for (tj, &pj) in gf.iter().enumerate() {
+                if pj != 0.0 {
+                    quad += pi * pj * grow[tj];
                 }
             }
-            s
-        } else {
-            gf.iter_mut().for_each(|v| *v = 0.0);
-            for &(tj, cj) in entries {
-                let pj = cj as f64 * inv_n;
-                let grow = gmat.row(tj as usize);
-                for ti in 0..t_len {
-                    gf[ti] += pj * grow[ti];
-                }
-            }
-            entries
-                .iter()
-                .map(|&(ti, ci)| ci as f64 * inv_n * gf[ti as usize])
-                .sum()
-        };
+        }
         let floor = 1.0 / g.degree(u) as f64;
         let zu = z[ui].max(floor) + quad.max(0.0);
         // y column correction: + H·f_u = Σ_t p_t · ht.row(t).
         let col = y.column_mut(u);
-        for &(ti, ci) in entries {
-            let p = ci as f64 * inv_n;
-            let hrow = ht.row(ti as usize);
+        for (ti, &p) in gf.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let hrow = ht.row(ti);
             for j in 0..w {
                 col[j] += p * hrow[j];
             }

@@ -19,7 +19,7 @@
 //! * **Rooted counts** for the Schur complement (Lemma 4.2) when an
 //!   auxiliary root index is supplied.
 
-use crate::forest::{EulerScratch, EulerTour, Forest};
+use crate::forest::{EulerTour, Forest};
 use crate::rooted::{RootIndex, RootedCounts};
 use crate::sampler::ForestAccumulator;
 use cfcc_graph::traversal::{bfs_from_set, NO_PARENT};
@@ -69,13 +69,14 @@ pub struct ElectricalAccumulator {
     diag_sup: Vec<f64>,
     rooted: Option<RootedCounts>,
     // ---- scratch reused across forests ----
+    /// `n × w` node-major sketched subtree sums; row `u` is valid for the
+    /// current forest only when `sw_stamp[u]` equals its generation.
     sw: Vec<f64>,
-    ssize: Vec<f64>,
+    sw_stamp: Vec<u64>,
     yones: Vec<f64>,
     xdiag: Vec<f64>,
-    root_scratch: Vec<Node>,
+    labels: Vec<u32>,
     tour: EulerTour,
-    escratch: EulerScratch,
 }
 
 impl ElectricalAccumulator {
@@ -104,6 +105,12 @@ impl ElectricalAccumulator {
         );
         if let Some(q) = &sketch {
             assert_eq!(q.dim(), n, "sketch must span all node ids");
+        }
+        if let Some(idx) = &root_index {
+            assert!(
+                idx.nodes().iter().all(|&t| in_root[t as usize]),
+                "tracked roots must be in the root set"
+            );
         }
         let w = sketch.as_ref().map_or(0, |q| q.width());
         let ctx = Arc::new(Ctx {
@@ -136,20 +143,15 @@ impl ElectricalAccumulator {
             diag_sup: vec![0.0; n],
             rooted,
             sw: vec![0.0; n * w],
-            ssize: if first_phase {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            },
+            sw_stamp: if w > 0 { vec![0; n] } else { Vec::new() },
             yones: if first_phase {
                 vec![0.0; n]
             } else {
                 Vec::new()
             },
             xdiag: vec![0.0; n],
-            root_scratch: Vec::new(),
+            labels: Vec::new(),
             tour: EulerTour::default(),
-            escratch: EulerScratch::default(),
             ctx,
         }
     }
@@ -225,57 +227,67 @@ impl ElectricalAccumulator {
         self.num_forests += 1;
         self.total_walk_steps += f.walk_steps;
 
-        // ---- sketched subtree sums and per-BFS-edge deltas ----
+        // ---- sketched subtree sums and per-BFS-edge deltas, one pass ----
+        // Visiting x bottom-up, its children have already been folded into
+        // its subtree sum, so both of its BFS-edge updates can be applied
+        // before x is folded into its own parent. A parent's row starts as
+        // its sketch column on first touch; an untouched row (a leaf) is
+        // read straight from the sketch. Each element is still summed as
+        // `q_p + sw_c1 + sw_c2 + …` with the children in bottom-up order,
+        // so results are bit-identical to the three-pass oracle in
+        // `reference.rs`.
         if let Some(q) = &ctx.sketch {
-            for &x in &f.bottomup {
-                let xi = x as usize;
-                self.sw[xi * w..xi * w + w].copy_from_slice(q.column(xi));
-            }
-            for &x in &f.bottomup {
-                let p = f.parent[x as usize];
-                if !f.is_root(p) {
-                    let (dst, src) = split_rows(&mut self.sw, p as usize, x as usize, w);
-                    for j in 0..w {
-                        dst[j] += src[j];
-                    }
-                }
-            }
+            let gen = self.num_forests;
+            let (sw, stamp) = (&mut self.sw, &mut self.sw_stamp);
             for &x in &f.bottomup {
                 let xi = x as usize;
                 let pb = ctx.bfs_parent[xi];
                 debug_assert_ne!(pb, NO_PARENT);
+                let dst = &mut self.edge_acc[xi * w..xi * w + w];
                 if f.parent[xi] == pb {
-                    // edge_acc and sw are disjoint fields: borrows coexist.
-                    let dst = &mut self.edge_acc[xi * w..xi * w + w];
-                    let swx = &self.sw[xi * w..xi * w + w];
+                    let swx = subtree_row(sw, stamp, q, xi, gen, w);
                     for j in 0..w {
                         dst[j] += swx[j];
                     }
                 }
                 let pbi = pb as usize;
                 if !ctx.in_root[pbi] && f.parent[pbi] == x {
-                    let swp = &self.sw[pbi * w..pbi * w + w];
-                    let dst = &mut self.edge_acc[xi * w..xi * w + w];
+                    let swp = subtree_row(sw, stamp, q, pbi, gen, w);
                     for j in 0..w {
                         dst[j] -= swp[j];
                     }
                 }
+                let p = f.parent[xi];
+                if f.is_root(p) {
+                    continue;
+                }
+                let pi = p as usize;
+                let first_touch = stamp[pi] != gen;
+                let (dst, src) = if stamp[xi] == gen {
+                    split_rows(sw, pi, xi, w)
+                } else {
+                    (&mut sw[pi * w..pi * w + w], q.column(xi))
+                };
+                if first_touch {
+                    let qp = q.column(pi);
+                    for j in 0..w {
+                        dst[j] = qp[j] + src[j];
+                    }
+                } else {
+                    for j in 0..w {
+                        dst[j] += src[j];
+                    }
+                }
+                stamp[pi] = gen;
             }
         }
 
-        // ---- first-phase: subtree sizes and all-ones voltage prefix sums ----
+        f.euler_tour_into(&mut self.tour);
+        let tour = &self.tour;
+
+        // ---- first-phase: all-ones voltage prefix sums along BFS order ----
         let first_scale = match ctx.mode {
             DiagMode::FirstPhase { scale } => {
-                for &x in &f.bottomup {
-                    self.ssize[x as usize] = 1.0;
-                }
-                for &x in &f.bottomup {
-                    let p = f.parent[x as usize];
-                    if !f.is_root(p) {
-                        self.ssize[p as usize] += self.ssize[x as usize];
-                    }
-                }
-                // prefix sums along BFS order
                 for &u in &ctx.bfs_order {
                     let ui = u as usize;
                     let pb = ctx.bfs_parent[ui];
@@ -285,11 +297,11 @@ impl ElectricalAccumulator {
                     }
                     let mut delta = 0.0;
                     if f.parent[ui] == pb {
-                        delta += self.ssize[ui];
+                        delta += tour.subtree_size(u) as f64;
                     }
                     let pbi = pb as usize;
                     if !ctx.in_root[pbi] && f.parent[pbi] == u {
-                        delta -= self.ssize[pbi];
+                        delta -= tour.subtree_size(pb) as f64;
                     }
                     self.yones[ui] = self.yones[pbi] + delta;
                 }
@@ -299,7 +311,6 @@ impl ElectricalAccumulator {
         };
 
         // ---- diagonal samples via Euler-tour ancestor tests ----
-        f.euler_tour_into(&mut self.tour, &mut self.escratch);
         for &u in &f.bottomup {
             let ui = u as usize;
             let mut x_acc = 0i64;
@@ -307,12 +318,12 @@ impl ElectricalAccumulator {
             while !ctx.in_root[a as usize] {
                 let b = ctx.bfs_parent[a as usize];
                 debug_assert_ne!(b, NO_PARENT);
-                if f.parent[a as usize] == b && self.tour.is_ancestor_or_self(a, u) {
+                if f.parent[a as usize] == b && tour.is_ancestor_or_self(a, u) {
                     x_acc += 1;
                 }
                 if !ctx.in_root[b as usize]
                     && f.parent[b as usize] == a
-                    && self.tour.is_ancestor_or_self(b, u)
+                    && tour.is_ancestor_or_self(b, u)
                 {
                     x_acc -= 1;
                 }
@@ -337,22 +348,27 @@ impl ElectricalAccumulator {
 
         // ---- rooted counts for the Schur complement ----
         if let Some(counts) = &mut self.rooted {
-            let root_scratch = &mut self.root_scratch;
-            root_scratch.clear();
-            root_scratch.resize(n, NO_PARENT);
-            for r in 0..n as Node {
-                if f.is_root(r) {
-                    root_scratch[r as usize] = r;
-                }
-            }
-            for x in f.topdown() {
-                let p = f.parent[x as usize];
-                root_scratch[x as usize] = root_scratch[p as usize];
-            }
-            for &x in &f.bottomup {
-                counts.record(x, root_scratch[x as usize]);
-            }
+            counts.record_forest(f, &mut self.labels);
         }
+    }
+}
+
+/// Node `x`'s sketched subtree sum in the current forest (generation
+/// `gen`): its `sw` row once a child has been folded in, else its own
+/// sketch column.
+#[inline]
+fn subtree_row<'a>(
+    sw: &'a [f64],
+    stamp: &[u64],
+    q: &'a JlSketch,
+    x: usize,
+    gen: u64,
+    w: usize,
+) -> &'a [f64] {
+    if stamp[x] == gen {
+        &sw[x * w..x * w + w]
+    } else {
+        q.column(x)
     }
 }
 
@@ -582,6 +598,46 @@ mod tests {
         }
     }
 
+    /// Integer tallies are invariant across thread counts (the float sums
+    /// are not; see `absorb_batch`).
+    #[test]
+    fn integer_tallies_identical_across_thread_counts() {
+        let mut rng = SmallRng::seed_from_u64(53);
+        let g = generators::barabasi_albert(300, 2, &mut rng);
+        let t_nodes: Vec<Node> = (1..13).collect();
+        let in_root = mask(300, &(0..13).collect::<Vec<Node>>());
+        let idx = Arc::new(RootIndex::new(300, &t_nodes));
+        let sketch = JlSketch::sample(8, 300, &mut rng);
+        let run = |threads: usize| {
+            let mut acc = ElectricalAccumulator::new(
+                &g,
+                &in_root,
+                Some(sketch.clone()),
+                DiagMode::Diagonal,
+                Some(idx.clone()),
+            );
+            let cfg = SamplerConfig { seed: 61, threads };
+            absorb_batch(&g, &in_root, 0, 37, &cfg, &mut acc);
+            absorb_batch(&g, &in_root, 37, 64, &cfg, &mut acc);
+            acc
+        };
+        let serial = run(1);
+        assert_eq!(serial.num_forests(), 101);
+        for threads in [2, 4] {
+            let par = run(threads);
+            assert_eq!(par.num_forests(), serial.num_forests(), "{threads} threads");
+            assert_eq!(
+                par.total_walk_steps(),
+                serial.total_walk_steps(),
+                "{threads} threads"
+            );
+            let (a, b) = (serial.rooted().unwrap(), par.rooted().unwrap());
+            for u in 0..300 {
+                assert_eq!(a.row(u), b.row(u), "node {u}, {threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn rooted_tracking_through_accumulator() {
         let mut rng = SmallRng::seed_from_u64(47);
@@ -592,17 +648,14 @@ mod tests {
         let mut acc = ElectricalAccumulator::new(&g, &in_root, None, DiagMode::Diagonal, Some(idx));
         absorb_batch(&g, &in_root, 0, 500, &SamplerConfig::default(), &mut acc);
         let rooted = acc.rooted().unwrap();
-        // Probabilities per node sum to ≤ 1 (the remainder roots in S).
+        // Counts per node sum to ≤ Ñ (the remainder roots in S).
         for u in 0..20u32 {
+            let total: u64 = rooted.row(u).iter().map(|&c| c as u64).sum();
             if in_root[u as usize] {
-                continue;
+                assert_eq!(total, 0, "roots are never counted");
+            } else {
+                assert!(total <= acc.num_forests(), "u={u} total {total}");
             }
-            let total: f64 = rooted
-                .probabilities(u, acc.num_forests())
-                .iter()
-                .map(|&(_, p)| p)
-                .sum();
-            assert!((0.0..=1.0 + 1e-9).contains(&total), "u={u} total {total}");
         }
     }
 

@@ -36,14 +36,12 @@ impl EulerTour {
     pub fn is_ancestor_or_self(&self, a: Node, u: Node) -> bool {
         self.tin[a as usize] <= self.tin[u as usize] && self.tin[u as usize] < self.tout[a as usize]
     }
-}
 
-/// Reusable buffers for [`Forest::euler_tour_into`].
-#[derive(Debug, Clone, Default)]
-pub struct EulerScratch {
-    child_offsets: Vec<u32>,
-    child_targets: Vec<Node>,
-    stack: Vec<(Node, u32)>,
+    /// Number of nodes in `u`'s subtree, `u` included.
+    #[inline]
+    pub fn subtree_size(&self, u: Node) -> u32 {
+        self.tout[u as usize] - self.tin[u as usize]
+    }
 }
 
 impl Forest {
@@ -90,67 +88,47 @@ impl Forest {
         depth
     }
 
-    /// Compute the Euler tour into `tour`, reusing `scratch`.
-    pub fn euler_tour_into(&self, tour: &mut EulerTour, scratch: &mut EulerScratch) {
+    /// Compute the Euler tour into `tour`, reusing its buffers.
+    ///
+    /// Numbers a preorder from subtree sizes instead of walking child
+    /// lists: a bottom-up pass leaves each node's subtree size in `tout`;
+    /// a top-down pass then gives every child the next free slot in its
+    /// parent's interval. While a node's children are being placed, its
+    /// `tout` holds that cursor, which ends at `tin + size` once they
+    /// all are. Roots take consecutive intervals in node order.
+    pub fn euler_tour_into(&self, tour: &mut EulerTour) {
         let n = self.num_nodes();
-        // Children CSR via counting sort on parent pointers.
-        let offs = &mut scratch.child_offsets;
-        offs.clear();
-        offs.resize(n + 1, 0);
+        let (tin, tout) = (&mut tour.tin, &mut tour.tout);
+        tin.clear();
+        tin.resize(n, 0);
+        tout.clear();
+        tout.resize(n, 1);
         for &x in &self.bottomup {
-            let p = self.parent[x as usize];
-            offs[p as usize + 1] += 1;
+            let p = self.parent[x as usize] as usize;
+            tout[p] += tout[x as usize];
         }
-        for i in 0..n {
-            offs[i + 1] += offs[i];
-        }
-        let targets = &mut scratch.child_targets;
-        targets.clear();
-        targets.resize(self.bottomup.len(), 0);
-        {
-            // cursor per parent — reuse a temporary copy of offsets
-            let mut cursor: Vec<u32> = offs[..n].to_vec();
-            for &x in &self.bottomup {
-                let p = self.parent[x as usize] as usize;
-                targets[cursor[p] as usize] = x;
-                cursor[p] += 1;
-            }
-        }
-        tour.tin.clear();
-        tour.tin.resize(n, 0);
-        tour.tout.clear();
-        tour.tout.resize(n, 0);
-        let stack = &mut scratch.stack;
-        stack.clear();
         let mut time = 0u32;
-        for r in 0..n as Node {
-            if !self.is_root(r) {
-                continue;
-            }
-            stack.push((r, offs[r as usize]));
-            tour.tin[r as usize] = time;
-            time += 1;
-            while let Some(&mut (u, ref mut next_child)) = stack.last_mut() {
-                if *next_child < offs[u as usize + 1] {
-                    let c = targets[*next_child as usize];
-                    *next_child += 1;
-                    tour.tin[c as usize] = time;
-                    time += 1;
-                    stack.push((c, offs[c as usize]));
-                } else {
-                    tour.tout[u as usize] = time;
-                    stack.pop();
-                }
+        for r in 0..n {
+            if self.parent[r] == NO_PARENT {
+                tin[r] = time;
+                time += tout[r];
+                tout[r] = tin[r] + 1;
             }
         }
         debug_assert_eq!(time as usize, n);
+        for x in self.topdown() {
+            let (xi, p) = (x as usize, self.parent[x as usize] as usize);
+            let size = tout[xi];
+            tin[xi] = tout[p];
+            tout[p] += size;
+            tout[xi] = tin[xi] + 1;
+        }
     }
 
     /// Allocate-and-return Euler tour (tests / cold paths).
     pub fn euler_tour(&self) -> EulerTour {
         let mut tour = EulerTour::default();
-        let mut scratch = EulerScratch::default();
-        self.euler_tour_into(&mut tour, &mut scratch);
+        self.euler_tour_into(&mut tour);
         tour
     }
 
@@ -250,6 +228,32 @@ mod tests {
         assert!(!t.is_ancestor_or_self(3, 1));
     }
 
+    /// Assert that `f`'s Euler tour gives exactly the ancestor-or-self
+    /// relation found by walking parent pointers.
+    fn assert_tour_matches_naive(f: &Forest) {
+        let n = f.num_nodes();
+        let t = f.euler_tour();
+        let mut anc = vec![false; n];
+        for u in 0..n as Node {
+            anc.iter_mut().for_each(|a| *a = false);
+            let mut i = u;
+            loop {
+                anc[i as usize] = true;
+                if f.is_root(i) {
+                    break;
+                }
+                i = f.parent[i as usize];
+            }
+            for a in 0..n as Node {
+                assert_eq!(t.is_ancestor_or_self(a, u), anc[a as usize], "a={a} u={u}");
+            }
+            let size = (0..n as Node)
+                .filter(|&v| t.is_ancestor_or_self(u, v))
+                .count();
+            assert_eq!(t.subtree_size(u) as usize, size, "subtree size of {u}");
+        }
+    }
+
     #[test]
     fn euler_matches_naive_on_random_forests() {
         let mut rng = SmallRng::seed_from_u64(11);
@@ -258,24 +262,44 @@ mod tests {
         in_root[0] = true;
         in_root[20] = true;
         for _ in 0..5 {
-            let f = sample_forest(&g, &in_root, &mut rng);
-            let t = f.euler_tour();
-            // naive ancestor check by walking up
-            for u in 0..60u32 {
-                let mut anc = [false; 60];
-                let mut i = u;
-                loop {
-                    anc[i as usize] = true;
-                    if f.is_root(i) {
-                        break;
-                    }
-                    i = f.parent[i as usize];
-                }
-                for a in 0..60u32 {
-                    assert_eq!(t.is_ancestor_or_self(a, u), anc[a as usize], "a={a} u={u}");
-                }
-            }
+            assert_tour_matches_naive(&sample_forest(&g, &in_root, &mut rng));
         }
+        // Many small trees: 24 roots, hubs and random nodes mixed.
+        let g = generators::barabasi_albert(200, 2, &mut rng);
+        let mut in_root = vec![false; 200];
+        for r in (0..12).chain((0..12).map(|i| 37 + 13 * i)) {
+            in_root[r] = true;
+        }
+        assert!(in_root.iter().filter(|&&r| r).count() >= 20);
+        for _ in 0..5 {
+            assert_tour_matches_naive(&sample_forest(&g, &in_root, &mut rng));
+        }
+    }
+
+    #[test]
+    fn euler_matches_naive_on_deep_chain() {
+        // Chain 0 ← 1 ← … ← 299 with a leaf hung off every tenth node, plus
+        // a second root with a short chain.
+        let (chain, n) = (300usize, 332usize);
+        let mut parent = vec![NO_PARENT; n];
+        let mut bottomup = Vec::new();
+        for x in (1..chain).rev() {
+            parent[x] = x as Node - 1;
+        }
+        for (i, x) in (chain..chain + 30).enumerate() {
+            parent[x] = 10 * i as Node + 5;
+            bottomup.push(x as Node);
+        }
+        bottomup.extend((1..chain as Node).rev());
+        parent[n - 1] = n as Node - 2; // n-2 is the second root
+        bottomup.push(n as Node - 1);
+        let f = Forest {
+            parent,
+            bottomup,
+            ..Forest::default()
+        };
+        assert_eq!(f.depths()[chain - 1], chain as u32 - 1);
+        assert_tour_matches_naive(&f);
     }
 
     #[test]

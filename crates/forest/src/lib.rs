@@ -24,6 +24,8 @@
 pub mod bernstein;
 pub mod estimators;
 pub mod forest;
+#[cfg(test)]
+mod reference;
 pub mod rooted;
 pub mod sampler;
 pub mod wilson;

@@ -5,7 +5,9 @@
 //! after each batch whether the empirical-Bernstein stop fires.
 //!
 //! Determinism: every forest's RNG is seeded from `(seed, global index)`
-//! through SplitMix64, so results are identical for any thread count.
+//! through SplitMix64, so the same forests are sampled for any thread
+//! count. What is invariant across thread counts, and what is not, is
+//! spelled out on [`absorb_batch`].
 
 use crate::forest::Forest;
 use crate::wilson::sample_forest_into;
@@ -30,7 +32,9 @@ pub trait ForestAccumulator: Send {
 pub struct SamplerConfig {
     /// Master seed; every forest derives its RNG from `(seed, index)`.
     pub seed: u64,
-    /// Worker threads (1 = serial). Results do not depend on this.
+    /// Worker threads (1 = serial). The forests, their walk steps and
+    /// integer counts do not depend on this; floating-point sums can
+    /// differ in their last bits (see [`absorb_batch`]).
     pub threads: usize,
 }
 
@@ -59,10 +63,16 @@ fn forest_rng(seed: u64, index: u64) -> SmallRng {
 /// Sample `batch` forests with global indices `start_index..start_index+batch`
 /// and absorb them into `acc`. With `cfg.threads > 1` the index range is
 /// split into contiguous chunks, each absorbed into a fresh accumulator and
-/// merged back in chunk order. The same forests are sampled for any thread
-/// count (seeding is by global index); linear accumulations are identical,
-/// while merged variance accumulators may differ from the serial path only
-/// in floating-point rounding.
+/// merged back in chunk order.
+///
+/// The same forests are sampled for any thread count (seeding is by global
+/// index), so integer tallies — forest count, walk steps, rooted counts —
+/// are identical for every thread count. Floating-point accumulations are
+/// not: each chunk sums its own forests and the chunk sums are then added,
+/// which re-associates the sums (and the Welford merge is a different
+/// formula from per-sample updates). They are reproducible at a fixed
+/// thread count but can differ in their last bits between thread counts,
+/// and so can every estimate computed from them.
 pub fn absorb_batch<A: ForestAccumulator>(
     g: &Graph,
     in_root: &[bool],
