@@ -98,10 +98,10 @@ OPTIONS:
     --seed <int>       RNG seed (default: 0x5EED)
     --threads <int>    worker threads: forest sampling + dense kernels (default: 1)
     --backend <name>   SDD solver backend for grounded Laplacian systems
-                       (see --list-backends; default: auto — dense below
-                       ~1.5k unknowns, sparse CSR/IC(0) above; tree-pcg
-                       opts into the spanning-tree preconditioner for
-                       meshes/road networks)
+                       (see --list-backends; default: auto — dense-cholesky
+                       up to 1,536 unknowns, sparse-cg (CSR + IC(0)) above
+                       on every graph; tree-pcg, lsst-pcg and cg-jacobi
+                       are explicit opt-ins)
     --graph <path>     whitespace edge-list file ('#'/'%' comments ok)
     --dataset <name>   bundled dataset (see --list-datasets)
     --scale <float>    proxy scale for bundled datasets in (0,1] (default: 1.0)

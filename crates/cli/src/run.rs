@@ -214,8 +214,8 @@ pub fn execute(args: &CliArgs) -> Result<Report, String> {
 /// with `n` nodes and budget `k`. Greedy factors run at n−1 … n−k kept
 /// unknowns; within `k` of the dense limit the policy can genuinely
 /// switch mid-run, so only name a single backend when the whole range
-/// resolves to it. Since the lsst-pcg routing change the policy is
-/// size-only, so this needs no graph sniff.
+/// resolves to it. The policy is size-only, so this needs no graph
+/// sniff.
 fn auto_label(n: usize, k: usize) -> String {
     let auto = cfcc_linalg::SddBackend::Auto;
     let first = auto.resolve(n.saturating_sub(1)).name();
@@ -266,7 +266,7 @@ pub fn render_backend_list() -> String {
         "auto".into(),
         "policy".into(),
         format!(
-            "dense-cholesky up to {} unknowns; above: lsst-pcg (low-stretch tree + sampled off-tree ultrasparsifier), with sparse-cg as fallback if tree construction fails",
+            "dense-cholesky up to {} unknowns; above: sparse-cg (CSR + IC(0), blocked PCG) on every graph",
             cfcc_linalg::SddBackend::AUTO_DENSE_LIMIT
         ),
     ]);
@@ -463,23 +463,23 @@ mod tests {
         assert!(text.contains("auto"));
         assert!(text.contains("iterative"));
         assert!(
-            text.contains("lsst-pcg (low-stretch tree"),
+            text.contains("above: sparse-cg (CSR + IC(0)"),
             "auto policy row must name the default large-graph backend: {text}"
         );
     }
 
     #[test]
-    fn auto_label_routes_large_graphs_to_lsst() {
-        // Above the dense limit every graph routes to lsst-pcg — the label
-        // the CLI reports for a 257×257 grid run (n = 66049, k = 16).
-        assert_eq!(auto_label(66049, 16), "auto (lsst-pcg)");
+    fn auto_label_routes_large_graphs_to_sparse_cg() {
+        // Above the dense limit every graph routes to sparse-cg — the
+        // label the CLI reports for a 257×257 grid run (n = 66049, k = 16).
+        assert_eq!(auto_label(66049, 16), "auto (sparse-cg)");
         // Small graphs stay dense.
         assert_eq!(auto_label(34, 2), "auto (dense-cholesky)");
         // Straddling the limit names both, in run order.
         let limit = cfcc_linalg::SddBackend::AUTO_DENSE_LIMIT;
         assert_eq!(
             auto_label(limit + 2, 2),
-            "auto (lsst-pcg then dense-cholesky)"
+            "auto (sparse-cg then dense-cholesky)"
         );
     }
 

@@ -36,10 +36,10 @@ pub struct CfcmParams {
     /// evaluation).
     pub cg_tol: f64,
     /// SDD solver backend for grounded Laplacian systems (`auto` picks
-    /// dense Cholesky on small systems and the CSR/IC(0) sparse solver on
-    /// large ones; `tree-pcg` — the compensated spanning-tree
-    /// preconditioner — is an explicit opt-in for meshes and road
-    /// networks; see `cfcc_linalg::sdd`).
+    /// dense Cholesky up to `SddBackend::AUTO_DENSE_LIMIT` unknowns and
+    /// `sparse-cg` — CSR with an IC(0) preconditioner — above it, on
+    /// every topology; `tree-pcg`, `lsst-pcg` and `cg-jacobi` are explicit
+    /// opt-ins; see `cfcc_linalg::sdd`).
     pub backend: SddBackend,
     /// Size `c` of SchurCFCM's auxiliary root set `T` (`None` = `|T*|`).
     pub schur_c: Option<usize>,

@@ -254,6 +254,27 @@ fn compact_columns(m: &mut DenseMatrix, live: &[usize]) {
     m.reshape(rows, new_w);
 }
 
+/// Copy column `cols[s]` of `src` into column `s` of `dst`, for every slot.
+fn gather_columns(src: &DenseMatrix, cols: &[usize], dst: &mut DenseMatrix) {
+    for i in 0..src.rows() {
+        let sr = src.row(i);
+        for (d, &j) in dst.row_mut(i).iter_mut().zip(cols) {
+            *d = sr[j];
+        }
+    }
+}
+
+/// Write column `s` of `src` back into column `cols[s]` of `dst`, for
+/// every slot — the inverse of [`gather_columns`].
+fn scatter_columns(src: &DenseMatrix, cols: &[usize], dst: &mut DenseMatrix) {
+    for i in 0..src.rows() {
+        let dr = dst.row_mut(i);
+        for (&v, &j) in src.row(i).iter().zip(cols) {
+            dr[j] = v;
+        }
+    }
+}
+
 /// Blocked multi-RHS preconditioned CG over an abstract SPD operator:
 /// `apply` computes `Y = A X` and `precond` computes `Z = M⁻¹ R` for
 /// *blocks* of column vectors (row-major `n × width` matrices — the width
@@ -334,6 +355,11 @@ where
     }
 
     let mut w = active.len();
+    // The live columns of `x`, compacted next to `r`/`p` so every per-row
+    // update is one contiguous pass; written back to `x` before each
+    // compaction and on every exit.
+    let mut xa = DenseMatrix::zeros(n, w);
+    gather_columns(x, &active, &mut xa);
     let mut z = DenseMatrix::zeros(n, w);
     precond(&r, &mut z);
     let mut p = z.clone();
@@ -356,7 +382,8 @@ where
     for it in 1..=cfg.max_iter {
         if let Some(cause) = cfg.stop.check() {
             // Interrupted: freeze every still-active column at its current
-            // iterate (already scattered into `x`) so a retry warm-starts.
+            // iterate in `x` so a retry warm-starts.
+            scatter_columns(&xa, &active, x);
             for (s, &j) in active.iter().enumerate() {
                 if !finished[s] {
                     stats[j] = CgStats {
@@ -390,26 +417,25 @@ where
                 alpha[s] = rz[s] / pap[s];
             }
         }
-        // x[:, active[s]] += α_s p[:, s]; r[:, s] −= α_s ap[:, s].
+        // x[:, s] += α_s p[:, s]; r[:, s] −= α_s ap[:, s] (compact slots).
         // Rows are independent, so the update row-partitions over the
         // worker pool (bit-identical for every thread count).
         {
-            let xw = x.cols();
-            let xp = SendPtr::new(x.data_mut());
+            let xp = SendPtr::new(xa.data_mut());
             let rp = SendPtr::new(r.data_mut());
-            let (pm, apm, act, al) = (&p, &ap, &active, &alpha);
+            let (pm, apm, al) = (&p, &ap, &alpha);
             par_rows(cfg.threads, n, 4 * w, &move |r0, r1| {
                 for i in r0..r1 {
-                    // SAFETY: rows [r0, r1) of x and r are owned
+                    // SAFETY: rows [r0, r1) of xa and r are owned
                     // exclusively by this task (disjoint partition).
-                    let xr = unsafe { xp.slice(i * xw, xw) };
-                    for (s, &j) in act.iter().enumerate() {
-                        xr[j] += al[s] * pm.get(i, s);
+                    let xr = unsafe { xp.slice(i * w, w) };
+                    for ((xv, &pv), &a) in xr.iter_mut().zip(pm.row(i)).zip(al) {
+                        *xv += a * pv;
                     }
                     // SAFETY: as above — row i of r belongs to this task.
-                    let rr = unsafe { rp.slice(i * apm.cols(), apm.cols()) };
-                    for (s, rv) in rr.iter_mut().enumerate() {
-                        *rv -= al[s] * apm.get(i, s);
+                    let rr = unsafe { rp.slice(i * w, w) };
+                    for ((rv, &apv), &a) in rr.iter_mut().zip(apm.row(i)).zip(al) {
+                        *rv -= a * apv;
                     }
                 }
             });
@@ -429,10 +455,13 @@ where
             }
         }
         if n_finished == w {
+            scatter_columns(&xa, &active, x);
             return stats;
         }
         if 4 * n_finished >= w {
+            scatter_columns(&xa, &active, x);
             let keep: Vec<usize> = (0..w).filter(|&s| !finished[s]).collect();
+            compact_columns(&mut xa, &keep);
             compact_columns(&mut r, &keep);
             compact_columns(&mut p, &keep);
             active = keep.iter().map(|&s| active[s]).collect();
@@ -459,23 +488,22 @@ where
             };
         }
         {
-            let pw = p.cols();
             let pp = SendPtr::new(p.data_mut());
             let (zm, al) = (&z, &alpha);
             par_rows(cfg.threads, n, 2 * w, &move |r0, r1| {
                 for i in r0..r1 {
-                    let zr = zm.row(i);
                     // SAFETY: rows [r0, r1) of p are owned exclusively by
                     // this task (disjoint partition).
-                    let pr = unsafe { pp.slice(i * pw, pw) };
-                    for (s, pv) in pr.iter_mut().enumerate() {
-                        *pv = zr[s] + al[s] * *pv;
+                    let pr = unsafe { pp.slice(i * w, w) };
+                    for ((pv, &zv), &a) in pr.iter_mut().zip(zm.row(i)).zip(al) {
+                        *pv = zv + a * *pv;
                     }
                 }
             });
         }
         rz.copy_from_slice(&rz_new);
     }
+    scatter_columns(&xa, &active, x);
     for (s, &j) in active.iter().enumerate() {
         if !finished[s] {
             stats[j] = CgStats {
@@ -621,6 +649,265 @@ mod tests {
     use cfcc_graph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The blocked PCG before its row updates were sliced, run serially:
+    /// `x` stays full width and every update goes through `get`-indexed
+    /// scalar access. `pcg_operator_block` must reproduce it bit for bit.
+    fn pcg_operator_block_reference<A, M>(
+        mut apply: A,
+        mut precond: M,
+        b: &DenseMatrix,
+        x: &mut DenseMatrix,
+        cfg: &CgConfig,
+    ) -> Vec<CgStats>
+    where
+        A: FnMut(&DenseMatrix, &mut DenseMatrix),
+        M: FnMut(&DenseMatrix, &mut DenseMatrix),
+    {
+        let n = b.rows();
+        let c = b.cols();
+        assert_eq!(x.rows(), n);
+        assert_eq!(x.cols(), c);
+        let mut stats = vec![
+            CgStats {
+                iterations: 0,
+                rel_residual: 0.0,
+                converged: true,
+                stopped: None,
+            };
+            c
+        ];
+        if c == 0 {
+            return stats;
+        }
+        let mut b_norm = vec![0.0f64; c];
+        col_dots(b, b, &mut b_norm);
+        for bn in b_norm.iter_mut() {
+            *bn = bn.sqrt().max(f64::MIN_POSITIVE);
+        }
+
+        // R = B − A X over the full block, then deflate the already-converged
+        // columns before the first iteration.
+        let mut r = DenseMatrix::zeros(n, c);
+        apply(x, &mut r);
+        for i in 0..n {
+            for (ri, &bi) in r.row_mut(i).iter_mut().zip(b.row(i)) {
+                *ri = bi - *ri;
+            }
+        }
+        let mut res = vec![0.0f64; c];
+        col_dots(&r, &r, &mut res);
+        // `active[s]` = original column behind compact slot `s`.
+        let mut active: Vec<usize> = Vec::with_capacity(c);
+        for j in 0..c {
+            res[j] = res[j].sqrt() / b_norm[j];
+            stats[j].rel_residual = res[j];
+            if res[j] <= cfg.rel_tol {
+                stats[j].converged = true;
+            } else {
+                active.push(j);
+            }
+        }
+        if active.is_empty() {
+            return stats;
+        }
+        if active.len() < c {
+            compact_columns(&mut r, &active);
+        }
+
+        let mut w = active.len();
+        let mut z = DenseMatrix::zeros(n, w);
+        precond(&r, &mut z);
+        let mut p = z.clone();
+        let mut ap = DenseMatrix::zeros(n, w);
+        let mut rz = vec![0.0f64; w];
+        col_dots(&r, &z, &mut rz);
+        let mut rz_new = vec![0.0f64; w];
+        let mut res: Vec<f64> = active.iter().map(|&j| stats[j].rel_residual).collect();
+        let mut pap = vec![0.0f64; w];
+        let mut alpha = vec![0.0f64; w];
+        // Slots that finished (converged or broke down) but have not been
+        // compacted out yet: they ride along with α = β = 0 — their x, r, and
+        // recorded stats stay frozen — until a quarter of the block is dead,
+        // then one in-place compaction drops them all. Compacting on every
+        // event would cost more than it saves when columns finish in quick
+        // succession.
+        let mut finished = vec![false; w];
+        let mut n_finished = 0usize;
+
+        for it in 1..=cfg.max_iter {
+            if let Some(cause) = cfg.stop.check() {
+                // Interrupted: freeze every still-active column at its current
+                // iterate (already scattered into `x`) so a retry warm-starts.
+                for (s, &j) in active.iter().enumerate() {
+                    if !finished[s] {
+                        stats[j] = CgStats {
+                            iterations: it - 1,
+                            rel_residual: res[s],
+                            converged: false,
+                            stopped: Some(cause),
+                        };
+                    }
+                }
+                return stats;
+            }
+            apply(&p, &mut ap);
+            col_dots(&p, &ap, &mut pap);
+            for s in 0..w {
+                if finished[s] {
+                    alpha[s] = 0.0;
+                } else if pap[s] <= 0.0 || !pap[s].is_finite() {
+                    // Numerical breakdown: report divergence for this column
+                    // before its direction can corrupt the iterate.
+                    stats[active[s]] = CgStats {
+                        iterations: it,
+                        rel_residual: res[s],
+                        converged: false,
+                        stopped: None,
+                    };
+                    finished[s] = true;
+                    n_finished += 1;
+                    alpha[s] = 0.0;
+                } else {
+                    alpha[s] = rz[s] / pap[s];
+                }
+            }
+            // x[:, active[s]] += α_s p[:, s]; r[:, s] −= α_s ap[:, s].
+            for i in 0..n {
+                let xr = x.row_mut(i);
+                for (s, &j) in active.iter().enumerate() {
+                    xr[j] += alpha[s] * p.get(i, s);
+                }
+                for (s, rv) in r.row_mut(i).iter_mut().enumerate() {
+                    *rv -= alpha[s] * ap.get(i, s);
+                }
+            }
+            col_dots(&r, &r, &mut res);
+            for s in 0..w {
+                res[s] = res[s].sqrt() / b_norm[active[s]];
+                if !finished[s] && res[s] <= cfg.rel_tol {
+                    stats[active[s]] = CgStats {
+                        iterations: it,
+                        rel_residual: res[s],
+                        converged: true,
+                        stopped: None,
+                    };
+                    finished[s] = true;
+                    n_finished += 1;
+                }
+            }
+            if n_finished == w {
+                return stats;
+            }
+            if 4 * n_finished >= w {
+                let keep: Vec<usize> = (0..w).filter(|&s| !finished[s]).collect();
+                compact_columns(&mut r, &keep);
+                compact_columns(&mut p, &keep);
+                active = keep.iter().map(|&s| active[s]).collect();
+                rz = keep.iter().map(|&s| rz[s]).collect();
+                res = keep.iter().map(|&s| res[s]).collect();
+                w = keep.len();
+                z.reshape(n, w);
+                ap.reshape(n, w);
+                rz_new.truncate(w);
+                pap.truncate(w);
+                alpha.truncate(w);
+                finished.truncate(w);
+                finished.fill(false);
+                n_finished = 0;
+            }
+            precond(&r, &mut z);
+            col_dots(&r, &z, &mut rz_new);
+            for s in 0..w {
+                // β = 0 parks finished slots on p = z (finite, unused).
+                alpha[s] = if finished[s] || rz[s] == 0.0 {
+                    0.0
+                } else {
+                    rz_new[s] / rz[s]
+                };
+            }
+            for i in 0..n {
+                let zr = z.row(i);
+                for (s, pv) in p.row_mut(i).iter_mut().enumerate() {
+                    *pv = zr[s] + alpha[s] * *pv;
+                }
+            }
+            rz.copy_from_slice(&rz_new);
+        }
+        for (s, &j) in active.iter().enumerate() {
+            if !finished[s] {
+                stats[j] = CgStats {
+                    iterations: cfg.max_iter,
+                    rel_residual: res[s],
+                    converged: false,
+                    stopped: None,
+                };
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn block_updates_are_bit_identical_to_indexed_reference() {
+        use crate::csr::{CsrMatrix, IncompleteCholesky};
+        let mut rng = StdRng::seed_from_u64(23);
+        let g = generators::barabasi_albert(400, 3, &mut rng);
+        let mut in_s = vec![false; 400];
+        in_s[9] = true;
+        let (csr, _, _) = CsrMatrix::grounded_laplacian(&g, &in_s);
+        let ic = IncompleteCholesky::factor(&csr).unwrap();
+        let (n, c) = (csr.dim(), 6);
+        let cfg = CgConfig::with_tol(1e-10);
+        let mut b = DenseMatrix::zeros(n, c);
+        for v in b.data_mut() {
+            *v = rng.gen_range(-1.0..1.0);
+        }
+        let solve = |reference: bool, b: &DenseMatrix, x: &mut DenseMatrix| {
+            let apply = |v: &DenseMatrix, out: &mut DenseMatrix| csr.spmm(v, out);
+            let precond = |r: &DenseMatrix, z: &mut DenseMatrix| ic.apply_block(r, z);
+            if reference {
+                pcg_operator_block_reference(apply, precond, b, x, &cfg)
+            } else {
+                pcg_operator_block(apply, precond, b, x, &cfg)
+            }
+        };
+        // Column 2 starts from a loosely converged guess, so it finishes
+        // early and deflates out while the rest run on.
+        let mut loose = DenseMatrix::zeros(n, c);
+        solve(false, &b, &mut loose);
+        let warm = |x: &mut DenseMatrix| {
+            for i in 0..n {
+                x.set(i, 2, loose.get(i, 2) * (1.0 + 1e-7));
+            }
+        };
+        // Second case: column 4 is already converged on entry, so the
+        // active set is not the identity from the first iteration on.
+        let mut b2 = b.clone();
+        for i in 0..n {
+            b2.set(i, 4, 0.0);
+        }
+        for (rhs, warm_col) in [(&b, true), (&b2, true), (&b, false)] {
+            let mut got = DenseMatrix::zeros(n, c);
+            let mut want = DenseMatrix::zeros(n, c);
+            if warm_col {
+                warm(&mut got);
+                warm(&mut want);
+            }
+            let s_got = solve(false, rhs, &mut got);
+            let s_want = solve(true, rhs, &mut want);
+            assert_eq!(s_got, s_want);
+            assert!(s_got.iter().all(|s| s.converged));
+            if warm_col {
+                assert!(s_got[2].iterations < s_got[0].iterations);
+            }
+            if std::ptr::eq(rhs, &b2) {
+                assert_eq!(s_got[4].iterations, 0);
+            }
+            for (a, b) in got.data().iter().zip(want.data()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
 
     #[test]
     fn grounded_solve_matches_dense() {

@@ -11,9 +11,9 @@
 //! |------------------|-----------|----------------|----------|
 //! | `dense-cholesky` | direct    | dense `L_{-S}` + blocked Cholesky | `n ≲ 2k`: exact, amortizes over many RHS |
 //! | `cg-jacobi`      | iterative | matrix-free operator | mid-size, few solves, zero setup cost |
-//! | `sparse-cg`      | iterative | CSR + IC(0) preconditioner | large graphs; never densifies |
+//! | `sparse-cg`      | iterative | CSR + IC(0) preconditioner | **every** large graph — the `auto` default; never densifies |
 //! | `tree-pcg`       | iterative | CSR + compensated BFS spanning tree | explicit choice for meshes/road networks |
-//! | `lsst-pcg`       | iterative | CSR + low-stretch tree ultrasparsifier | **every** large graph — the `auto` default |
+//! | `lsst-pcg`       | iterative | CSR + low-stretch tree ultrasparsifier | explicit choice; provable iteration bounds, slower per solve |
 //!
 //! All three iterative backends answer [`SddFactor::solve_mat`] through
 //! **blocked multi-RHS PCG** ([`crate::cg::pcg_operator_block`]): the
@@ -49,17 +49,16 @@
 //! # Selection
 //!
 //! Callers hold an [`SddBackend`] (a `CfcmParams` field / `--backend`
-//! upstream): `auto` picks `dense-cholesky` below
+//! upstream): `auto` picks `dense-cholesky` at or below
 //! [`SddBackend::AUTO_DENSE_LIMIT`] unknowns (where the blocked dense
-//! layer wins) and `lsst-pcg` above it — the low-stretch-tree
-//! ultrasparsifier ([`crate::lsst`]) has provable iteration counts on
-//! every topology, so no sniffing is needed (the PR 5 BFS-diameter
-//! heuristic is retired). `tree-pcg` and `sparse-cg` remain as explicit
-//! choices, and the [`factor`]/[`factor_owned`] front doors fall back to
-//! `sparse-cg` if an auto-routed `lsst-pcg` factorization fails for any
-//! reason other than a singular grounding. [`backends`], [`by_name`],
-//! and [`name_list`] expose the registry for discoverability
-//! (`--list-backends`).
+//! layer wins) and `sparse-cg` above it — the measured winner on every
+//! large graph: the low-stretch-tree ultrasparsifier ([`crate::lsst`])
+//! needs fewer iterations on some meshes but ran at 0.44–0.70× the
+//! `sparse-cg` wall clock on every `BENCH_PR10` graph. The decision is
+//! size-only. `lsst-pcg`, `tree-pcg` and `cg-jacobi` remain as explicit
+//! choices, and an explicit backend's construction errors surface as-is.
+//! [`backends`], [`by_name`], and [`name_list`] expose the registry for
+//! discoverability (`--list-backends`).
 
 use crate::cg::{pcg_operator, pcg_operator_block, CgConfig, StopCause, StopHook};
 use crate::csr::{CsrMatrix, IncompleteCholesky};
@@ -1182,8 +1181,8 @@ pub fn name_list() -> String {
 /// Backend selection carried through `CfcmParams` / `--backend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SddBackend {
-    /// Dense below [`SddBackend::AUTO_DENSE_LIMIT`] unknowns, the
-    /// low-stretch-tree ultrasparsifier (`lsst-pcg`) above.
+    /// Dense at or below [`SddBackend::AUTO_DENSE_LIMIT`] unknowns, CSR
+    /// with IC(0) (`sparse-cg`) above.
     #[default]
     Auto,
     /// Force `dense-cholesky`.
@@ -1233,18 +1232,17 @@ impl SddBackend {
     }
 
     /// Resolve to a concrete backend for an `n`-unknown system: dense
-    /// below [`SddBackend::AUTO_DENSE_LIMIT`] (blocked factor amortized
-    /// over many RHS), the low-stretch-tree ultrasparsifier `lsst-pcg`
-    /// above it. The decision is size-only — the low-stretch tree's
-    /// iteration bound holds on every topology, so the PR 5 BFS-diameter
-    /// sniff is gone and resolution never looks at the graph.
+    /// at or below [`SddBackend::AUTO_DENSE_LIMIT`] (blocked factor
+    /// amortized over many RHS), `sparse-cg` above it — the fastest
+    /// measured backend on every large graph, so the decision is
+    /// size-only and never looks at the graph.
     pub fn resolve(self, n: usize) -> &'static dyn SddSolver {
         let name = match self {
             SddBackend::Auto => {
                 if n <= Self::AUTO_DENSE_LIMIT {
                     "dense-cholesky"
                 } else {
-                    "lsst-pcg"
+                    "sparse-cg"
                 }
             }
             other => other.name(),
@@ -1268,21 +1266,8 @@ impl std::fmt::Display for SddBackend {
     }
 }
 
-/// Should an `auto`-routed factorization failure on `solver` retry on
-/// `sparse-cg`? Only construction failures qualify — a singular grounding
-/// fails identically on every backend and must surface as-is.
-fn auto_fallback(backend: SddBackend, solver: &dyn SddSolver, err: &LinalgError) -> bool {
-    backend == SddBackend::Auto
-        && solver.name() == "lsst-pcg"
-        && !matches!(err, LinalgError::SingularGrounding { .. })
-}
-
 /// Factor `L_{-S}` through the chosen backend (resolving `auto` by the
-/// number of kept nodes) — the one-call front door consumers use. If the
-/// `auto` policy routed to `lsst-pcg` and the tree/sparsifier build fails
-/// for any reason other than a singular grounding, the front door falls
-/// back to `sparse-cg` so auto-routed callers never pay for a pathological
-/// input; an *explicit* `--backend lsst-pcg` surfaces the error.
+/// number of kept nodes) — the one-call front door consumers use.
 pub fn factor<'g>(
     g: &'g Graph,
     in_s: &[bool],
@@ -1290,13 +1275,7 @@ pub fn factor<'g>(
     opts: &SddOptions,
 ) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
     let kept = in_s.iter().filter(|&&s| !s).count();
-    let solver = backend.resolve_for_graph(g, kept);
-    match solver.factor(g, in_s, opts) {
-        Err(e) if auto_fallback(backend, solver, &e) => by_name("sparse-cg")
-            .expect("registered backend")
-            .factor(g, in_s, opts),
-        other => other,
-    }
+    backend.resolve_for_graph(g, kept).factor(g, in_s, opts)
 }
 
 /// A factor that owns (a reference count on) its graph, so it can outlive
@@ -1367,16 +1346,8 @@ pub fn factor_owned(
     opts: &SddOptions,
 ) -> Result<OwnedFactor, LinalgError> {
     let kept = in_s.iter().filter(|&&s| !s).count();
-    let mut solver = backend.resolve_for_graph(g, kept);
-    let raw: Box<dyn SddFactor + Send + '_> = match solver.factor(g, in_s, opts) {
-        Err(e) if auto_fallback(backend, solver, &e) => {
-            // Same auto-routed fallback as [`factor`]; the cache key sees
-            // the backend that actually produced the factor.
-            solver = by_name("sparse-cg").expect("registered backend");
-            solver.factor(g, in_s, opts)?
-        }
-        other => other?,
-    };
+    let solver = backend.resolve_for_graph(g, kept);
+    let raw: Box<dyn SddFactor + Send + '_> = solver.factor(g, in_s, opts)?;
     // SAFETY: the only borrow the factor may hold is `&Graph` into the
     // `Arc` allocation. The `Arc` clone stored alongside keeps that
     // allocation alive (at a fixed address) for the wrapper's whole
@@ -1437,7 +1408,7 @@ mod tests {
             SddBackend::Auto
                 .resolve(SddBackend::AUTO_DENSE_LIMIT + 1)
                 .name(),
-            "lsst-pcg"
+            "sparse-cg"
         );
         assert_eq!(SddBackend::CgJacobi.resolve(10).name(), "cg-jacobi");
     }
@@ -1520,23 +1491,23 @@ mod tests {
         assert_eq!(f.stats().iterations, 0);
     }
 
-    /// Regression (auto policy, post-diameter-sniff): above the dense
-    /// limit `auto` routes EVERY topology — the large-diameter grid AND
-    /// the low-diameter expander-like BA graph — to `lsst-pcg`; below the
-    /// limit the size rule stays dense; explicit backends are never
-    /// overridden.
+    /// Regression (auto policy): above the dense limit `auto` routes
+    /// EVERY topology — the large-diameter grid AND the low-diameter
+    /// expander-like BA graph — to `sparse-cg`, the measured winner;
+    /// below the limit the size rule stays dense; explicit backends are
+    /// never overridden.
     #[test]
-    fn auto_policy_routes_every_large_graph_to_lsst() {
+    fn auto_policy_routes_every_large_graph_to_sparse_cg() {
         let grid = generators::grid(45, 45); // 2025 > AUTO_DENSE_LIMIT
         assert_eq!(
             SddBackend::Auto.resolve_for_graph(&grid, 2024).name(),
-            "lsst-pcg"
+            "sparse-cg"
         );
         let mut rng = StdRng::seed_from_u64(0x70D0);
         let ba = generators::barabasi_albert(2000, 4, &mut rng);
         assert_eq!(
             SddBackend::Auto.resolve_for_graph(&ba, 1999).name(),
-            "lsst-pcg"
+            "sparse-cg"
         );
         // Below the dense limit the size rule wins regardless of topology.
         let small_grid = generators::grid(20, 20);
@@ -1546,21 +1517,35 @@ mod tests {
         );
         // Explicit backends are never overridden by the policy.
         assert_eq!(
-            SddBackend::SparseCg.resolve_for_graph(&grid, 2024).name(),
-            "sparse-cg"
+            SddBackend::LsstPcg.resolve_for_graph(&grid, 2024).name(),
+            "lsst-pcg"
         );
         assert_eq!(
             SddBackend::TreePcg.resolve_for_graph(&ba, 1999).name(),
             "tree-pcg"
         );
         // The front door actually dispatches the policy: a grid factor
-        // through `auto` must behave like lsst-pcg (iterative, with the
-        // tree stretch surfaced in the stats).
+        // through `auto` is the `sparse-cg` factor — same iterations and
+        // bit-identical solutions as an explicit `sparse-cg` factor, and
+        // no spanning tree behind it.
         let in_s = mask(grid.num_nodes(), &[0]);
-        let mut f = factor(&grid, &in_s, SddBackend::Auto, &SddOptions::default()).unwrap();
-        f.solve_vec(&vec![1.0; grid.num_nodes() - 1]).unwrap();
-        assert!(f.stats().iterations > 0);
-        assert!(f.stats().precond_stretch > 1.0);
+        let b = vec![1.0; grid.num_nodes() - 1];
+        let opts = SddOptions::default();
+        let mut auto = factor(&grid, &in_s, SddBackend::Auto, &opts).unwrap();
+        let mut sparse = factor(&grid, &in_s, SddBackend::SparseCg, &opts).unwrap();
+        let (xa, xs) = (auto.solve_vec(&b).unwrap(), sparse.solve_vec(&b).unwrap());
+        assert!(auto.stats().iterations > 0);
+        assert_eq!(auto.stats(), sparse.stats());
+        assert_eq!(auto.stats().precond_stretch, 0.0);
+        assert!(xa.iter().zip(&xs).all(|(a, s)| a.to_bits() == s.to_bits()));
+        let owned = factor_owned(
+            &std::sync::Arc::new(grid.clone()),
+            &in_s,
+            SddBackend::Auto,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(owned.backend_name(), "sparse-cg");
     }
 
     /// Regression (block warm start): `solve_mat_into` documents that
