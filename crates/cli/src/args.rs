@@ -20,7 +20,8 @@ pub struct CliArgs {
     pub epsilon: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads (forest sampling and the blocked dense kernels).
+    /// Worker threads (forest sampling, Schur delta assembly and the blocked
+    /// dense kernels).
     pub threads: usize,
     /// SDD solver backend for grounded Laplacian systems.
     pub backend: SddBackend,
@@ -96,7 +97,8 @@ OPTIONS:
     --k <int>          group size (default: 10)
     --epsilon <float>  error parameter in (0,1) (default: 0.2)
     --seed <int>       RNG seed (default: 0x5EED)
-    --threads <int>    worker threads: forest sampling + dense kernels (default: 1)
+    --threads <int>    worker threads: forest sampling, Schur delta assembly,
+                       dense kernels (default: 1)
     --backend <name>   SDD solver backend for grounded Laplacian systems
                        (see --list-backends; default: auto — dense-cholesky
                        up to 1,536 unknowns, sparse-cg (CSR + IC(0)) above

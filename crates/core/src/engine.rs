@@ -43,6 +43,7 @@
 //! regression tests.
 
 use crate::{CfcmError, CfcmParams};
+use cfcc_forest::estimators::YMatrix;
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
 use cfcc_linalg::sdd::{SddFactor, SddOptions, SolveStats};
@@ -50,6 +51,7 @@ use cfcc_linalg::vector::norm2_sq;
 use cfcc_linalg::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 /// Column-chunk width of the sketched multi-RHS solves: bounds the live
 /// solver workspace at `O(n · RHS_CHUNK)` while still amortizing each
@@ -81,16 +83,36 @@ pub(crate) struct SchurScratch {
     pub wfq_t: DenseMatrix,
     /// `G · wfq_t ∈ R^{|T| × w}`.
     pub ht: DenseMatrix,
-    /// Scratch for the `fᵀ G f` quadratic form.
+    /// The sketched voltages `Y` (`n × w`), refilled at each checkpoint.
+    pub y: YMatrix,
+    /// One scratch per pool task of the per-node delta loop, sized here so
+    /// the tasks allocate nothing. Task `t` locks only `tasks[t]`.
+    pub tasks: Vec<Mutex<NodeScratch>>,
+}
+
+/// Per-task scratch of the per-node delta loop. Both buffers are
+/// overwritten before every read, so a slot poisoned by a panicking task
+/// is still valid and is recovered with `into_inner`.
+#[derive(Default)]
+pub(crate) struct NodeScratch {
+    /// The node's probability row `F̃_{u·}` (`|T|`).
     pub gf: Vec<f64>,
+    /// Its corrected column `Y e_u + H f_u` (`w`).
+    pub col: Vec<f64>,
 }
 
 impl SchurScratch {
-    /// Shape the buffers for a round with `t_len` roots and width `w`.
-    pub fn ensure(&mut self, t_len: usize, w: usize) {
+    /// Shape the buffers for a round with `t_len` roots, width `w` and
+    /// `tasks` pool tasks.
+    pub fn ensure(&mut self, t_len: usize, w: usize, tasks: usize) {
         self.wfq_t.reshape(t_len, w);
         self.ht.reshape(t_len, w);
-        self.gf.resize(t_len, 0.0);
+        self.tasks.resize_with(tasks, Default::default);
+        for slot in &mut self.tasks {
+            let s = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            s.gf.resize(t_len, 0.0);
+            s.col.resize(w, 0.0);
+        }
     }
 }
 

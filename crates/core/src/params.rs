@@ -18,11 +18,13 @@ pub struct CfcmParams {
     pub epsilon: f64,
     /// Master RNG seed — all sampling is deterministic given this.
     pub seed: u64,
-    /// Worker threads for forest sampling *and* the blocked dense kernels
-    /// (1 = serial). The dense kernels are bit-identical across thread
-    /// counts. Forest sampling draws the same forests at any thread count,
-    /// but merges its floating-point sums per thread chunk, so Monte-Carlo
-    /// gains can differ in their last bits between thread counts.
+    /// Worker threads for forest sampling, SchurDelta's delta assembly and
+    /// the blocked dense kernels (1 = serial). The dense kernels and the
+    /// delta assembly are bit-identical across thread counts. Forest
+    /// sampling draws the same forests at any thread count and sums the
+    /// sketched voltages exactly in integers; only its Welford diagonal
+    /// statistics merge per thread chunk, so Monte-Carlo gains can differ
+    /// in their last bits between thread counts.
     pub threads: usize,
     /// Override the JL sketch width (`None` = practical width from ε, n).
     pub jl_width: Option<usize>,

@@ -204,8 +204,9 @@ mod tests {
     #[test]
     fn selections_bit_identical_across_thread_counts() {
         // Thread count must never change which nodes are selected. (The
-        // sampler's per-chunk merge regroups float sums, so Monte-Carlo
-        // *gains* may differ in the last ulps across thread counts; the
+        // sampler's per-chunk merge regroups the Welford diagonal
+        // statistics, so Monte-Carlo *gains* may differ in the last ulps
+        // across thread counts; the
         // dense kernels' row-panel split, by contrast, preserves
         // arithmetic order exactly, so the exact path below is asserted
         // bit for bit including gains.)

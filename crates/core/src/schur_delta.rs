@@ -15,20 +15,21 @@
 //! `Σ̃` — inverted densely since `|T| ≪ n`.
 
 use crate::adaptive::{batch_schedule, Candidate, StopRule};
-use crate::engine::{GreedyWorkspace, SchurScratch};
+use crate::engine::{GreedyWorkspace, NodeScratch, SchurScratch};
 use crate::forest_delta::top2_max;
 use crate::schur::{estimated_schur, invert_estimated_schur};
 use crate::{CfcmError, CfcmParams};
 use cfcc_forest::bernstein::bernstein_halfwidth;
-use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator, YMatrix};
+use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
 use cfcc_forest::rooted::{RootIndex, RootedCounts};
 use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
+use cfcc_linalg::pool;
 use cfcc_linalg::vector::norm2_sq;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Output of one Schur delta-estimation round.
 #[derive(Debug, Clone)]
@@ -111,13 +112,14 @@ pub fn schur_delta_ws(
     // Dense round buffers live in the run's persistent workspace: each
     // adaptive round — and each greedy iteration — re-fills the same
     // allocations instead of creating new ones.
-    ws.schur.ensure(t_nodes.len(), w);
+    ws.schur.ensure(t_nodes.len(), w, params.threads.max(1));
     for total in batch_schedule(params.min_batch, cap) {
         absorb_batch(g, &in_root, sampled, total - sampled, &cfg, &mut acc);
         sampled = total;
         last_ridge = compute_schur_deltas(
             g,
             in_s,
+            &in_root,
             t_nodes,
             &acc,
             &sketch_w,
@@ -159,13 +161,20 @@ pub fn schur_delta_ws(
     })
 }
 
-/// Assemble Δ' for all `u ∉ S` from the current accumulator state. The
-/// `|T| × w` round buffers come from the run's persistent
-/// [`SchurScratch`].
+/// Assemble Δ' for all `u ∉ S` from the current accumulator state.
+/// `in_root` marks `S ∪ T`. The round buffers come from the run's
+/// persistent [`SchurScratch`], sized by [`SchurScratch::ensure`] for
+/// `threads` tasks.
+///
+/// The `wfq_t` fill (split by root row) and the per-node loop (split by
+/// node range) run on the worker pool. Every row and every node keeps its
+/// serial arithmetic order, so the deltas are bit-identical at every
+/// thread count.
 #[allow(clippy::too_many_arguments)]
 fn compute_schur_deltas(
     g: &Graph,
     in_s: &[bool],
+    in_root: &[bool],
     t_nodes: &[Node],
     acc: &ElectricalAccumulator,
     sketch_w: &JlSketch,
@@ -182,62 +191,66 @@ fn compute_schur_deltas(
 
     // Σ̃ and its inverse G — the quadratic forms below read G's entries
     // directly, so this is a genuine inverse consumer (|T| × |T|, small).
-    let mut in_root = in_s.to_vec();
-    for &t in t_nodes {
-        in_root[t as usize] = true;
-    }
-    let sigma = estimated_schur(g, &in_root, t_nodes, rooted, num_forests);
+    let sigma = estimated_schur(g, in_root, t_nodes, rooted, num_forests);
     let (gmat, ridge) = invert_estimated_schur(sigma)?;
 
     // wfq_t = (W·F̃ + Q)ᵀ ∈ R^{|T| × w}, rows contiguous per root.
     let inv_n = 1.0 / num_forests as f64;
-    let wfq_t = &mut ws.wfq_t;
-    wfq_t.fill_zero();
-    for u in 0..n as Node {
-        if in_root[u as usize] {
-            continue;
-        }
-        let col = sketch_w.column(u as usize);
-        for (ti, &count) in rooted.row(u).iter().enumerate() {
-            if count == 0 {
+    let rows_per_task = t_len.div_ceil(threads.max(1)).max(1);
+    let row_blocks: Vec<Mutex<&mut [f64]>> = ws
+        .wfq_t
+        .data_mut()
+        .chunks_mut(rows_per_task * w)
+        .map(Mutex::new)
+        .collect();
+    pool::run(threads, row_blocks.len(), &|t| {
+        let mut block = row_blocks[t].lock().unwrap_or_else(PoisonError::into_inner);
+        let lo = t * rows_per_task;
+        let hi = lo + block.len() / w;
+        block.fill(0.0);
+        for u in 0..n as Node {
+            if in_root[u as usize] {
                 continue;
             }
-            let p = count as f64 * inv_n;
-            let row = wfq_t.row_mut(ti);
-            for j in 0..w {
-                row[j] += p * col[j];
+            let col = sketch_w.column(u as usize);
+            for (k, &count) in rooted.row(u)[lo..hi].iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                let p = count as f64 * inv_n;
+                let row = &mut block[k * w..k * w + w];
+                for j in 0..w {
+                    row[j] += p * col[j];
+                }
             }
         }
-    }
-    for ti in 0..t_len {
-        let q = sketch_q.column(ti);
-        let row = wfq_t.row_mut(ti);
-        for j in 0..w {
-            row[j] += q[j];
+        for (k, row) in block.chunks_exact_mut(w).enumerate() {
+            let q = sketch_q.column(lo + k);
+            for j in 0..w {
+                row[j] += q[j];
+            }
         }
-    }
+    });
+    drop(row_blocks);
     // ht = G · wfq_t ∈ R^{|T| × w}; row t is the column `H e_t` of
     // H = (W F̃ + Q) Σ̃^{-1}.
     gmat.matmul_into(&ws.wfq_t, &mut ws.ht, threads);
-    let ht = &ws.ht;
 
-    // Correct Y in place and assemble the ratios.
-    let mut y: YMatrix = acc.y_matrix();
-    let z = acc.diag_means();
-    let gf = &mut ws.gf;
-    for u in 0..n as Node {
+    acc.y_matrix_into(&mut ws.y);
+    let (ht, y, z) = (&ws.ht, &ws.y, acc.diag_means());
+    // Δ'(u, S), or NaN for u ∈ S.
+    let node_delta = |u: Node, scratch: &mut NodeScratch| -> f64 {
         let ui = u as usize;
         if in_s[ui] {
-            deltas[ui] = f64::NAN;
-            continue;
+            return f64::NAN;
         }
         if let Some(ti) = rooted.index().index_of(u) {
             // u = t ∈ T: bottom-right block of Eq. (11).
             let zt = gmat.get(ti, ti).max(f64::MIN_POSITIVE);
-            deltas[ui] = norm2_sq(ht.row(ti)) / zt;
-            continue;
+            return norm2_sq(ht.row(ti)) / zt;
         }
         // u ∈ U: top-left block. `gf` holds u's probability row F̃_{u·}.
+        let NodeScratch { gf, col } = scratch;
         for (p, &c) in gf.iter_mut().zip(rooted.row(u)) {
             *p = c as f64 * inv_n;
         }
@@ -256,8 +269,8 @@ fn compute_schur_deltas(
         }
         let floor = 1.0 / g.degree(u) as f64;
         let zu = z[ui].max(floor) + quad.max(0.0);
-        // y column correction: + H·f_u = Σ_t p_t · ht.row(t).
-        let col = y.column_mut(u);
+        // Corrected column: Y e_u + H·f_u = Y e_u + Σ_t p_t · ht.row(t).
+        col.copy_from_slice(y.column(u));
         for (ti, &p) in gf.iter().enumerate() {
             if p == 0.0 {
                 continue;
@@ -267,8 +280,18 @@ fn compute_schur_deltas(
                 col[j] += p * hrow[j];
             }
         }
-        deltas[ui] = norm2_sq(y.column(u)) / zu;
-    }
+        norm2_sq(col) / zu
+    };
+    let nodes_per_task = n.div_ceil(ws.tasks.len()).max(1);
+    let out: Vec<Mutex<&mut [f64]>> = deltas.chunks_mut(nodes_per_task).map(Mutex::new).collect();
+    pool::run(threads, out.len(), &|t| {
+        let mut out = out[t].lock().unwrap_or_else(PoisonError::into_inner);
+        let mut scratch = ws.tasks[t].lock().unwrap_or_else(PoisonError::into_inner);
+        let lo = t * nodes_per_task;
+        for (k, d) in out.iter_mut().enumerate() {
+            *d = node_delta((lo + k) as Node, &mut scratch);
+        }
+    });
     Ok(ridge)
 }
 
@@ -342,6 +365,65 @@ mod tests {
                 est.deltas[t as usize].is_finite(),
                 "T node {t} must be scored"
             );
+        }
+    }
+
+    /// The pool split of the delta assembly keeps every node's arithmetic
+    /// order, so one accumulator gives the same deltas at any thread count.
+    #[test]
+    fn assembly_bit_identical_across_thread_counts() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let g = generators::barabasi_albert(120, 2, &mut rng);
+        let n = g.num_nodes();
+        let mut in_s = vec![false; n];
+        in_s[7] = true;
+        let t_nodes: Vec<Node> = top_degree_nodes(&g, 6)
+            .into_iter()
+            .filter(|&t| t != 7)
+            .take(5)
+            .collect();
+        let mut in_root = in_s.clone();
+        for &t in &t_nodes {
+            in_root[t as usize] = true;
+        }
+        let w = 16;
+        let sketch_w = JlSketch::sample(w, n, &mut rng);
+        let sketch_q = JlSketch::sample(w, t_nodes.len(), &mut rng);
+        let mut acc = ElectricalAccumulator::new(
+            &g,
+            &in_root,
+            Some(sketch_w.clone()),
+            DiagMode::Diagonal,
+            Some(Arc::new(RootIndex::new(n, &t_nodes))),
+        );
+        let cfg = SamplerConfig {
+            seed: 3,
+            threads: 1,
+        };
+        absorb_batch(&g, &in_root, 0, 200, &cfg, &mut acc);
+        let assemble = |threads: usize| {
+            let mut ws = SchurScratch::default();
+            ws.ensure(t_nodes.len(), w, threads);
+            let mut deltas = vec![0.0; n];
+            compute_schur_deltas(
+                &g,
+                &in_s,
+                &in_root,
+                &t_nodes,
+                &acc,
+                &sketch_w,
+                &sketch_q,
+                threads,
+                &mut ws,
+                &mut deltas,
+            )
+            .unwrap();
+            deltas.iter().map(|d| d.to_bits()).collect::<Vec<u64>>()
+        };
+        let serial = assemble(1);
+        assert!(f64::from_bits(serial[7]).is_nan());
+        for threads in [2, 4] {
+            assert_eq!(assemble(threads), serial, "{threads} threads");
         }
     }
 

@@ -7,7 +7,9 @@
 //!   `δ_j(x) = [π_x = p_x]·sw_j(x) − [π_{p_x} = x]·sw_j(p_x)`, whose
 //!   expectation is the weighted current through that edge (Lemma 3.2 +
 //!   linearity); BFS-path prefix sums then telescope to voltages
-//!   (Lemma 3.3 with the fixed path `P_{v,S}` = BFS path).
+//!   (Lemma 3.3 with the fixed path `P_{v,S}` = BFS path). The sketch is
+//!   Rademacher (`±1/√w`), so subtree sums are taken exactly over its
+//!   signs in integers and scaled once, in [`ElectricalAccumulator::y_matrix`].
 //! * **Diagonal samples** `X_f(u)` with `E[X_f(u)] = (L_{-S}^{-1})_{uu}`:
 //!   along `u`'s BFS path, count forest-path traversals of each edge in both
 //!   directions, using O(1) Euler-tour ancestor tests. Welford accumulators
@@ -50,7 +52,10 @@ struct Ctx {
     bfs_parent: Vec<Node>,
     bfs_order: Vec<Node>,
     bfs_depth: Vec<u32>,
-    sketch: Option<JlSketch>,
+    /// `n × w` node-major sketch signs (empty when not sketching).
+    signs: Vec<i8>,
+    /// Magnitude `1/√w` of every sketch entry.
+    scale: f64,
     mode: DiagMode,
     root_index: Option<Arc<RootIndex>>,
 }
@@ -61,17 +66,19 @@ pub struct ElectricalAccumulator {
     ctx: Arc<Ctx>,
     num_forests: u64,
     total_walk_steps: u64,
-    /// `n × w` node-major accumulated edge deltas (empty when no sketch).
-    edge_acc: Vec<f64>,
+    /// `n × w` node-major accumulated edge deltas in sketch-sign units
+    /// (empty when no sketch). Integer sums are exact, so they do not
+    /// depend on absorb or merge order.
+    edge_acc: Vec<i64>,
     /// Per-node Welford over diagonal (or first-phase) samples.
     diag: WelfordVec,
     /// Per-node max |sample| — empirical range for the Bernstein stop.
     diag_sup: Vec<f64>,
     rooted: Option<RootedCounts>,
     // ---- scratch reused across forests ----
-    /// `n × w` node-major sketched subtree sums; row `u` is valid for the
-    /// current forest only when `sw_stamp[u]` equals its generation.
-    sw: Vec<f64>,
+    /// `n × w` node-major subtree sums of sketch signs; row `u` is valid
+    /// for the current forest only when `sw_stamp[u]` equals its generation.
+    sw: Vec<i32>,
     sw_stamp: Vec<u64>,
     yones: Vec<f64>,
     xdiag: Vec<f64>,
@@ -83,9 +90,11 @@ impl ElectricalAccumulator {
     /// Build an accumulator for forests of `g` rooted at `in_root`.
     ///
     /// * `sketch` — optional JL sketch over node ids (only non-root
-    ///   coordinates are ever read).
+    ///   coordinates are ever read). Only its signs and scale are kept.
     /// * `mode` — diagonal or first-phase samples.
     /// * `root_index` — track rooted counts for these roots (SchurDelta).
+    ///
+    /// Panics if `g` has more than `i32::MAX` nodes (the subtree-sum bound).
     pub fn new(
         g: &Graph,
         in_root: &[bool],
@@ -95,6 +104,10 @@ impl ElectricalAccumulator {
     ) -> Self {
         let n = g.num_nodes();
         assert_eq!(in_root.len(), n);
+        assert!(
+            i32::try_from(n).is_ok(),
+            "subtree sign sums are i32: n must be at most i32::MAX"
+        );
         let roots: Vec<Node> = (0..n as Node).filter(|&u| in_root[u as usize]).collect();
         assert!(!roots.is_empty(), "root set must be non-empty");
         let bfs = bfs_from_set(g, &roots);
@@ -120,7 +133,8 @@ impl ElectricalAccumulator {
             bfs_parent: bfs.parent,
             bfs_order: bfs.order,
             bfs_depth: bfs.depth,
-            sketch,
+            signs: sketch.as_ref().map_or_else(Vec::new, JlSketch::signs),
+            scale: sketch.as_ref().map_or(0.0, JlSketch::scale),
             mode,
             root_index,
         });
@@ -138,11 +152,11 @@ impl ElectricalAccumulator {
         Self {
             num_forests: 0,
             total_walk_steps: 0,
-            edge_acc: vec![0.0; n * w],
+            edge_acc: vec![0; n * w],
             diag: WelfordVec::new(n),
             diag_sup: vec![0.0; n],
             rooted,
-            sw: vec![0.0; n * w],
+            sw: vec![0; n * w],
             sw_stamp: if w > 0 { vec![0; n] } else { Vec::new() },
             yones: if first_phase {
                 vec![0.0; n]
@@ -199,24 +213,39 @@ impl ElectricalAccumulator {
     /// The sketched voltage matrix `Y ≈ W L_{-S}^{-1}` as an `n × w`
     /// node-major buffer: `column(u) = Y·e_u`. Root rows are zero.
     pub fn y_matrix(&self) -> YMatrix {
+        let mut y = YMatrix::default();
+        self.y_matrix_into(&mut y);
+        y
+    }
+
+    /// [`ElectricalAccumulator::y_matrix`] into a caller-owned buffer,
+    /// reshaped to `n × w` (its allocation is reused when large enough).
+    ///
+    /// Each edge sum is scaled once, as `(m · scale) · (1/Ñ)`. At a
+    /// power-of-4 width the scale `1/√w` is a power of two, so this equals
+    /// a plain f64 sum of the sketch entries bit for bit.
+    pub fn y_matrix_into(&self, y: &mut YMatrix) {
         let n = self.ctx.n;
         let w = self.ctx.w;
         assert!(w > 0, "no sketch configured");
         assert!(self.num_forests > 0, "no forests absorbed");
+        let scale = self.ctx.scale;
         let inv = 1.0 / self.num_forests as f64;
-        let mut data = vec![0.0f64; n * w];
+        y.w = w;
+        y.data.resize(n * w, 0.0);
         for &u in &self.ctx.bfs_order {
-            let p = self.ctx.bfs_parent[u as usize];
+            let ui = u as usize;
+            let p = self.ctx.bfs_parent[ui];
             if p == NO_PARENT {
-                continue; // root: zero voltage
+                y.data[ui * w..ui * w + w].fill(0.0); // root: zero voltage
+                continue;
             }
-            let (dst, src) = split_rows(&mut data, u as usize, p as usize, w);
-            let acc = &self.edge_acc[u as usize * w..u as usize * w + w];
+            let (dst, src) = split_rows(&mut y.data, ui, p as usize, w);
+            let acc = &self.edge_acc[ui * w..ui * w + w];
             for j in 0..w {
-                dst[j] = src[j] + acc[j] * inv;
+                dst[j] = src[j] + (acc[j] as f64 * scale) * inv;
             }
         }
-        YMatrix { data, w }
     }
 
     fn absorb_inner(&mut self, f: &Forest) {
@@ -231,12 +260,11 @@ impl ElectricalAccumulator {
         // Visiting x bottom-up, its children have already been folded into
         // its subtree sum, so both of its BFS-edge updates can be applied
         // before x is folded into its own parent. A parent's row starts as
-        // its sketch column on first touch; an untouched row (a leaf) is
-        // read straight from the sketch. Each element is still summed as
-        // `q_p + sw_c1 + sw_c2 + …` with the children in bottom-up order,
-        // so results are bit-identical to the three-pass oracle in
-        // `reference.rs`.
-        if let Some(q) = &ctx.sketch {
+        // its sign column on first touch; an untouched row (a leaf) is read
+        // straight from the signs. All sums are exact integers in units of
+        // the sketch scale.
+        if w > 0 {
+            let q = &ctx.signs;
             let gen = self.num_forests;
             let (sw, stamp) = (&mut self.sw, &mut self.sw_stamp);
             for &x in &f.bottomup {
@@ -245,38 +273,23 @@ impl ElectricalAccumulator {
                 debug_assert_ne!(pb, NO_PARENT);
                 let dst = &mut self.edge_acc[xi * w..xi * w + w];
                 if f.parent[xi] == pb {
-                    let swx = subtree_row(sw, stamp, q, xi, gen, w);
-                    for j in 0..w {
-                        dst[j] += swx[j];
-                    }
+                    subtree_row(sw, stamp, q, xi, gen, w).add_to(dst);
                 }
                 let pbi = pb as usize;
                 if !ctx.in_root[pbi] && f.parent[pbi] == x {
-                    let swp = subtree_row(sw, stamp, q, pbi, gen, w);
-                    for j in 0..w {
-                        dst[j] -= swp[j];
-                    }
+                    subtree_row(sw, stamp, q, pbi, gen, w).sub_from(dst);
                 }
                 let p = f.parent[xi];
                 if f.is_root(p) {
                     continue;
                 }
                 let pi = p as usize;
-                let first_touch = stamp[pi] != gen;
-                let (dst, src) = if stamp[xi] == gen {
-                    split_rows(sw, pi, xi, w)
+                let own = (stamp[pi] != gen).then(|| &q[pi * w..pi * w + w]);
+                if stamp[xi] == gen {
+                    let (dst, src) = split_rows(sw, pi, xi, w);
+                    fold_child(dst, src, own);
                 } else {
-                    (&mut sw[pi * w..pi * w + w], q.column(xi))
-                };
-                if first_touch {
-                    let qp = q.column(pi);
-                    for j in 0..w {
-                        dst[j] = qp[j] + src[j];
-                    }
-                } else {
-                    for j in 0..w {
-                        dst[j] += src[j];
-                    }
+                    fold_child(&mut sw[pi * w..pi * w + w], &q[xi * w..xi * w + w], own);
                 }
                 stamp[pi] = gen;
             }
@@ -353,29 +366,72 @@ impl ElectricalAccumulator {
     }
 }
 
-/// Node `x`'s sketched subtree sum in the current forest (generation
-/// `gen`): its `sw` row once a child has been folded in, else its own
-/// sketch column.
+/// A node's subtree sum of sketch signs in the current forest.
+enum SubtreeRow<'a> {
+    /// Its `sw` row, once a child has been folded in.
+    Folded(&'a [i32]),
+    /// Its own sign column (no child folded in yet).
+    Leaf(&'a [i8]),
+}
+
+impl SubtreeRow<'_> {
+    #[inline]
+    fn add_to(self, dst: &mut [i64]) {
+        match self {
+            Self::Folded(r) => dst.iter_mut().zip(r).for_each(|(d, &v)| *d += i64::from(v)),
+            Self::Leaf(r) => dst.iter_mut().zip(r).for_each(|(d, &v)| *d += i64::from(v)),
+        }
+    }
+
+    #[inline]
+    fn sub_from(self, dst: &mut [i64]) {
+        match self {
+            Self::Folded(r) => dst.iter_mut().zip(r).for_each(|(d, &v)| *d -= i64::from(v)),
+            Self::Leaf(r) => dst.iter_mut().zip(r).for_each(|(d, &v)| *d -= i64::from(v)),
+        }
+    }
+}
+
+/// Node `x`'s subtree sign sum in the current forest (generation `gen`).
 #[inline]
 fn subtree_row<'a>(
-    sw: &'a [f64],
+    sw: &'a [i32],
     stamp: &[u64],
-    q: &'a JlSketch,
+    q: &'a [i8],
     x: usize,
     gen: u64,
     w: usize,
-) -> &'a [f64] {
+) -> SubtreeRow<'a> {
     if stamp[x] == gen {
-        &sw[x * w..x * w + w]
+        SubtreeRow::Folded(&sw[x * w..x * w + w])
     } else {
-        q.column(x)
+        SubtreeRow::Leaf(&q[x * w..x * w + w])
+    }
+}
+
+/// Fold a child's subtree sum into its parent's row `dst`. On the
+/// parent's first touch (`own` = its sign column) the row starts as
+/// `own + child`; afterwards the child is added.
+#[inline]
+fn fold_child<T: Copy + Into<i32>>(dst: &mut [i32], child: &[T], own: Option<&[i8]>) {
+    match own {
+        Some(own) => {
+            for ((d, &c), &o) in dst.iter_mut().zip(child).zip(own) {
+                *d = i32::from(o) + c.into();
+            }
+        }
+        None => {
+            for (d, &c) in dst.iter_mut().zip(child) {
+                *d += c.into();
+            }
+        }
     }
 }
 
 /// Borrow two distinct `w`-rows of a node-major buffer (`dst = row a`,
 /// `src = row b`). Requires `a != b`.
 #[inline]
-fn split_rows(buf: &mut [f64], a: usize, b: usize, w: usize) -> (&mut [f64], &[f64]) {
+fn split_rows<T>(buf: &mut [T], a: usize, b: usize, w: usize) -> (&mut [T], &[T]) {
     debug_assert_ne!(a, b);
     if a < b {
         let (lo, hi) = buf.split_at_mut(b * w);
@@ -423,7 +479,7 @@ impl ForestAccumulator for ElectricalAccumulator {
 }
 
 /// Node-major sketched voltage matrix (`n` columns of width `w`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct YMatrix {
     data: Vec<f64>,
     w: usize,
@@ -439,12 +495,6 @@ impl YMatrix {
     #[inline]
     pub fn column(&self, u: Node) -> &[f64] {
         &self.data[u as usize * self.w..(u as usize + 1) * self.w]
-    }
-
-    /// Mutable column access (SchurDelta adds correction terms in place).
-    #[inline]
-    pub fn column_mut(&mut self, u: Node) -> &mut [f64] {
-        &mut self.data[u as usize * self.w..(u as usize + 1) * self.w]
     }
 
     /// `‖Y e_u‖²` — the JL estimate of `‖L_{-S}^{-1} e_u‖²`.
@@ -598,8 +648,9 @@ mod tests {
         }
     }
 
-    /// Integer tallies are invariant across thread counts (the float sums
-    /// are not; see `absorb_batch`).
+    /// Integer tallies, and the sketched voltages summed from them, are
+    /// invariant across thread counts (the Welford statistics are not; see
+    /// `absorb_batch`).
     #[test]
     fn integer_tallies_identical_across_thread_counts() {
         let mut rng = SmallRng::seed_from_u64(53);
@@ -634,6 +685,12 @@ mod tests {
             let (a, b) = (serial.rooted().unwrap(), par.rooted().unwrap());
             for u in 0..300 {
                 assert_eq!(a.row(u), b.row(u), "node {u}, {threads} threads");
+            }
+            let (ya, yb) = (serial.y_matrix(), par.y_matrix());
+            for u in 0..300 {
+                let bits =
+                    |y: &YMatrix| y.column(u).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ya), bits(&yb), "y column {u}, {threads} threads");
             }
         }
     }

@@ -6,6 +6,12 @@
 //! child-CSR + stack Euler tour, and per-node sparse `(root index, count)`
 //! lists for the rooted counts. The tests below feed the same forests to
 //! both and compare every output.
+//!
+//! The subtree sums run twice: over the sketch signs in integers, scaled
+//! once at the end (what the accumulator does, so the bit-for-bit asserts
+//! hold at every width), and as plain f64 sums of the sketch entries. At
+//! power-of-4 widths the two agree bit for bit; at other widths (`1/√w`
+//! inexact) the f64 sums round.
 
 use crate::estimators::{DiagMode, ElectricalAccumulator};
 use crate::forest::Forest;
@@ -14,6 +20,7 @@ use cfcc_graph::traversal::{bfs_from_set, NO_PARENT};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
 use cfcc_util::stats::WelfordVec;
+use std::ops::{AddAssign, SubAssign};
 use std::sync::Arc;
 
 /// Euler tour by an explicit DFS over a child CSR: `(tin, tout)`.
@@ -59,6 +66,58 @@ fn euler_tour_dfs(f: &Forest) -> (Vec<u32>, Vec<u32>) {
     (tin, tout)
 }
 
+/// Per-forest subtree sums of `col(u)` (`w` values per node) over each
+/// tree: copy every row, then fold children into parents bottom-up.
+fn subtree_sums<T, I>(f: &Forest, n: usize, w: usize, col: impl Fn(usize) -> I) -> Vec<T>
+where
+    T: Copy + Default + AddAssign,
+    I: Iterator<Item = T>,
+{
+    let mut sw = vec![T::default(); n * w];
+    for &x in &f.bottomup {
+        let xi = x as usize;
+        for (d, v) in sw[xi * w..xi * w + w].iter_mut().zip(col(xi)) {
+            *d = v;
+        }
+    }
+    for &x in &f.bottomup {
+        let p = f.parent[x as usize];
+        if !f.is_root(p) {
+            for j in 0..w {
+                let v = sw[x as usize * w + j];
+                sw[p as usize * w + j] += v;
+            }
+        }
+    }
+    sw
+}
+
+/// Per BFS edge `(x, p_x)`: add `sw(x)` to `acc(x)` if `π_x = p_x`, and
+/// subtract `sw(p_x)` if `π_{p_x} = x`.
+fn edge_updates<T: Copy + AddAssign + SubAssign>(
+    bfs_parent: &[Node],
+    in_root: &[bool],
+    w: usize,
+    f: &Forest,
+    sw: &[T],
+    acc: &mut [T],
+) {
+    for &x in &f.bottomup {
+        let xi = x as usize;
+        let pb = bfs_parent[xi] as usize;
+        if f.parent[xi] as usize == pb {
+            for j in 0..w {
+                acc[xi * w + j] += sw[xi * w + j];
+            }
+        }
+        if !in_root[pb] && f.parent[pb] == x {
+            for j in 0..w {
+                acc[xi * w + j] -= sw[pb * w + j];
+            }
+        }
+    }
+}
+
 /// Serial reference accumulator (see the module docs).
 struct ReferenceAccumulator {
     n: usize,
@@ -71,7 +130,8 @@ struct ReferenceAccumulator {
     index: Option<Arc<RootIndex>>,
     num_forests: u64,
     total_walk_steps: u64,
-    edge_acc: Vec<f64>,
+    edge_acc: Vec<i64>,
+    edge_acc_f64: Vec<f64>,
     diag: WelfordVec,
     diag_sup: Vec<f64>,
     rooted: Vec<Vec<(u32, u32)>>,
@@ -100,7 +160,8 @@ impl ReferenceAccumulator {
             index,
             num_forests: 0,
             total_walk_steps: 0,
-            edge_acc: vec![0.0; n * w],
+            edge_acc: vec![0; n * w],
+            edge_acc_f64: vec![0.0; n * w],
             diag: WelfordVec::new(n),
             diag_sup: vec![0.0; n],
             rooted: vec![Vec::new(); n],
@@ -113,33 +174,27 @@ impl ReferenceAccumulator {
         self.total_walk_steps += f.walk_steps;
 
         if let Some(q) = &self.sketch {
-            let mut sw = vec![0.0f64; n * w];
-            for &x in &f.bottomup {
-                let xi = x as usize;
-                sw[xi * w..xi * w + w].copy_from_slice(q.column(xi));
-            }
-            for &x in &f.bottomup {
-                let p = f.parent[x as usize];
-                if !f.is_root(p) {
-                    for j in 0..w {
-                        sw[p as usize * w + j] += sw[x as usize * w + j];
-                    }
-                }
-            }
-            for &x in &f.bottomup {
-                let xi = x as usize;
-                let pb = self.bfs_parent[xi] as usize;
-                if f.parent[xi] as usize == pb {
-                    for j in 0..w {
-                        self.edge_acc[xi * w + j] += sw[xi * w + j];
-                    }
-                }
-                if !self.in_root[pb] && f.parent[pb] == x {
-                    for j in 0..w {
-                        self.edge_acc[xi * w + j] -= sw[pb * w + j];
-                    }
-                }
-            }
+            let signs = q.signs();
+            let sw = subtree_sums(f, n, w, |u| {
+                signs[u * w..u * w + w].iter().map(|&s| s as i64)
+            });
+            edge_updates(
+                &self.bfs_parent,
+                &self.in_root,
+                w,
+                f,
+                &sw,
+                &mut self.edge_acc,
+            );
+            let sw = subtree_sums(f, n, w, |u| q.column(u).iter().copied());
+            edge_updates(
+                &self.bfs_parent,
+                &self.in_root,
+                w,
+                f,
+                &sw,
+                &mut self.edge_acc_f64,
+            );
         }
 
         let first_scale = match self.mode {
@@ -218,8 +273,19 @@ impl ReferenceAccumulator {
         }
     }
 
-    /// `Y ≈ W L_{-S}^{-1}`, node-major, by BFS-path prefix sums.
+    /// `Y ≈ W L_{-S}^{-1}`, node-major, by BFS-path prefix sums of the
+    /// integer edge sums, each scaled once.
     fn y_matrix(&self) -> Vec<f64> {
+        let scale = self.sketch.as_ref().map_or(0.0, JlSketch::scale);
+        self.prefix_sums(|i| self.edge_acc[i] as f64 * scale)
+    }
+
+    /// The same prefix sums over the plain f64 edge sums.
+    fn y_matrix_f64(&self) -> Vec<f64> {
+        self.prefix_sums(|i| self.edge_acc_f64[i])
+    }
+
+    fn prefix_sums(&self, edge: impl Fn(usize) -> f64) -> Vec<f64> {
         let (n, w) = (self.n, self.w);
         let inv = 1.0 / self.num_forests as f64;
         let mut data = vec![0.0f64; n * w];
@@ -229,8 +295,8 @@ impl ReferenceAccumulator {
                 continue;
             }
             for j in 0..w {
-                data[u as usize * w + j] =
-                    data[p as usize * w + j] + self.edge_acc[u as usize * w + j] * inv;
+                let i = u as usize * w + j;
+                data[i] = data[p as usize * w + j] + edge(i) * inv;
             }
         }
         data
@@ -394,6 +460,55 @@ mod tests {
             g,
         };
         check(&case, 8, &wilson_forests(&case, 32, 19), 23);
+    }
+
+    /// At power-of-4 widths `1/√w` is a power of two, so every f64 partial
+    /// sum of sketch entries is exact and the integer `Y` equals the plain
+    /// f64 sum bit for bit (this is why the integer sums leave SchurCFCM's
+    /// outputs unchanged at the usual width 64).
+    #[test]
+    fn integer_y_equals_f64_sums_at_power_of_4_widths() {
+        let g = generators::barabasi_albert(400, 2, &mut SmallRng::seed_from_u64(37));
+        let hubs = by_degree(&g, 12);
+        let case = Case {
+            s: hubs[10..].to_vec(),
+            t: hubs[..10].to_vec(),
+            g,
+        };
+        let n = case.g.num_nodes();
+        let in_root = case.in_root();
+        let forests = wilson_forests(&case, 40, 41);
+        for w in [4, 16, 64] {
+            let sketch = JlSketch::sample(w, n, &mut SmallRng::seed_from_u64(43 + w as u64));
+            let mut acc = ElectricalAccumulator::new(
+                &case.g,
+                &in_root,
+                Some(sketch.clone()),
+                DiagMode::Diagonal,
+                None,
+            );
+            let mut reference = ReferenceAccumulator::new(
+                &case.g,
+                &in_root,
+                Some(sketch),
+                DiagMode::Diagonal,
+                None,
+            );
+            for f in &forests {
+                acc.absorb(f);
+                reference.absorb(f);
+            }
+            let y = acc.y_matrix();
+            let y_f64 = reference.y_matrix_f64();
+            for u in 0..n {
+                let got: Vec<u64> = y.column(u as Node).iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = y_f64[u * w..u * w + w]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, want, "w={w}, y column of node {u}");
+            }
+        }
     }
 
     /// A 10k-node path rooted at both ends. Its spanning forests drop one

@@ -12,8 +12,10 @@
 use crate::forest::Forest;
 use crate::wilson::sample_forest_into;
 use cfcc_graph::Graph;
+use cfcc_linalg::pool;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
 
 /// Accumulators that consume sampled forests.
 pub trait ForestAccumulator: Send {
@@ -32,9 +34,10 @@ pub trait ForestAccumulator: Send {
 pub struct SamplerConfig {
     /// Master seed; every forest derives its RNG from `(seed, index)`.
     pub seed: u64,
-    /// Worker threads (1 = serial). The forests, their walk steps and
-    /// integer counts do not depend on this; floating-point sums can
-    /// differ in their last bits (see [`absorb_batch`]).
+    /// Worker threads (1 = serial). The forests, their walk steps, the
+    /// integer counts and the sketched voltages do not depend on this;
+    /// only the Welford diagonal statistics can differ in their last bits
+    /// (see [`absorb_batch`]).
     pub threads: usize,
 }
 
@@ -62,17 +65,17 @@ fn forest_rng(seed: u64, index: u64) -> SmallRng {
 
 /// Sample `batch` forests with global indices `start_index..start_index+batch`
 /// and absorb them into `acc`. With `cfg.threads > 1` the index range is
-/// split into contiguous chunks, each absorbed into a fresh accumulator and
-/// merged back in chunk order.
+/// split into contiguous chunks, each absorbed into a fresh accumulator on
+/// the [`cfcc_linalg::pool`] workers and merged back in chunk order. The
+/// fresh accumulators are built here, before dispatch.
 ///
 /// The same forests are sampled for any thread count (seeding is by global
-/// index), so integer tallies — forest count, walk steps, rooted counts —
-/// are identical for every thread count. Floating-point accumulations are
-/// not: each chunk sums its own forests and the chunk sums are then added,
-/// which re-associates the sums (and the Welford merge is a different
-/// formula from per-sample updates). They are reproducible at a fixed
-/// thread count but can differ in their last bits between thread counts,
-/// and so can every estimate computed from them.
+/// index), so integer tallies — forest count, walk steps, rooted counts and
+/// the sketched subtree sums behind `y_matrix` — are identical for every
+/// thread count. Only the Welford diagonal statistics re-associate: each
+/// chunk keeps its own mean and variance and the merge is a different
+/// formula from per-sample updates. They are reproducible at a fixed
+/// thread count but can differ in their last bits between thread counts.
 pub fn absorb_batch<A: ForestAccumulator>(
     g: &Graph,
     in_root: &[bool],
@@ -96,33 +99,26 @@ pub fn absorb_batch<A: ForestAccumulator>(
     }
     // Contiguous chunking keeps merge order deterministic.
     let chunk = batch.div_ceil(threads as u64);
-    let mut partials: Vec<A> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for tix in 0..threads as u64 {
-            let lo = start_index + tix * chunk;
-            let hi = (lo + chunk).min(start_index + batch);
-            if lo >= hi {
-                break;
-            }
-            let mut local = acc.fresh();
-            let seed = cfg.seed;
-            handles.push(scope.spawn(move || {
-                let mut forest = Forest::default();
-                for i in lo..hi {
-                    let mut rng = forest_rng(seed, i);
-                    sample_forest_into(g, in_root, &mut rng, &mut forest);
-                    local.absorb(&forest);
-                }
-                local
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("sampler worker panicked"));
+    let end = start_index + batch;
+    let ranges: Vec<(u64, u64)> = (start_index..end)
+        .step_by(chunk as usize)
+        .map(|lo| (lo, (lo + chunk).min(end)))
+        .collect();
+    let partials: Vec<Mutex<A>> = ranges.iter().map(|_| Mutex::new(acc.fresh())).collect();
+    // Task t locks only partials[t], so the locks never contend; they only
+    // hand each task its own accumulator.
+    pool::run(threads, ranges.len(), &|t| {
+        let (lo, hi) = ranges[t];
+        let mut local = partials[t].lock().unwrap_or_else(PoisonError::into_inner);
+        let mut forest = Forest::default();
+        for i in lo..hi {
+            let mut rng = forest_rng(cfg.seed, i);
+            sample_forest_into(g, in_root, &mut rng, &mut forest);
+            local.absorb(&forest);
         }
     });
     for p in partials {
-        acc.merge(p);
+        acc.merge(p.into_inner().unwrap_or_else(PoisonError::into_inner));
     }
 }
 

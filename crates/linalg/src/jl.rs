@@ -62,6 +62,22 @@ impl JlSketch {
         self.d
     }
 
+    /// The common magnitude `1/√w` of every entry.
+    #[inline]
+    pub fn scale(&self) -> f64 {
+        1.0 / (self.w as f64).sqrt()
+    }
+
+    /// The entries' signs as a node-major `d × w` matrix of `±1`:
+    /// `column(u)[j] == signs()[u * w + j] as f64 * scale()`. Sums of
+    /// sketch entries can be taken exactly over these and scaled once.
+    pub fn signs(&self) -> Vec<i8> {
+        self.data
+            .iter()
+            .map(|&v| if v > 0.0 { 1 } else { -1 })
+            .collect()
+    }
+
     /// The `w` sketch values of coordinate `u` (a column of the `w × d`
     /// matrix, contiguous in this layout).
     #[inline]
@@ -116,6 +132,21 @@ mod tests {
         for u in 0..10 {
             for &v in q.column(u) {
                 assert!((v - s).abs() < 1e-15 || (v + s).abs() < 1e-15);
+            }
+        }
+    }
+
+    #[test]
+    fn signs_times_scale_are_the_entries() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for w in [4, 8, 64] {
+            let q = JlSketch::sample(w, 30, &mut rng);
+            let (signs, scale) = (q.signs(), q.scale());
+            assert_eq!(signs.len(), 30 * w);
+            for u in 0..30 {
+                for (j, &v) in q.column(u).iter().enumerate() {
+                    assert_eq!((signs[u * w + j] as f64 * scale).to_bits(), v.to_bits());
+                }
             }
         }
     }
