@@ -12,8 +12,13 @@
 //!   signs in integers and scaled once, in [`ElectricalAccumulator::y_matrix`].
 //! * **Diagonal samples** `X_f(u)` with `E[X_f(u)] = (L_{-S}^{-1})_{uu}`:
 //!   along `u`'s BFS path, count forest-path traversals of each edge in both
-//!   directions, using O(1) Euler-tour ancestor tests. Welford accumulators
-//!   retain mean and variance for the empirical-Bernstein stop (Lemma 3.6).
+//!   directions. One top-down sweep over the BFS order takes most nodes from
+//!   their BFS parent `p`: `X(u) = X(p) + 1` when `π_u = p`, and
+//!   `X(u) = X(p)` when `p` is a root (`X(p) = 0`) or `π_p = u`. Any
+//!   other node walks its BFS path with O(1) Euler-tour ancestor tests.
+//!   Per forest this is O(n) plus those walks, not O(Σ depth). Welford
+//!   accumulators retain mean and variance for the empirical-Bernstein
+//!   stop (Lemma 3.6).
 //! * **First-phase samples** `x_u = X_f(u) − scale · Φ̂₁(u)` implementing
 //!   Lemma 3.5's reduction of `L†_uu` to `L_{-s}^{-1}` quantities (the
 //!   shared `1ᵀL^{-1}1/n²` term is rank-preserving and omitted, as in
@@ -50,6 +55,9 @@ struct Ctx {
     w: usize,
     in_root: Vec<bool>,
     bfs_parent: Vec<Node>,
+    /// BFS order from the root set: every root first, then each node after
+    /// its BFS parent. The top-down order of the diagonal-sample sweep and
+    /// of the `Y` prefix sums.
     bfs_order: Vec<Node>,
     bfs_depth: Vec<u32>,
     /// `n × w` node-major sketch signs (empty when not sketching).
@@ -80,6 +88,8 @@ pub struct ElectricalAccumulator {
     /// for the current forest only when `sw_stamp[u]` equals its generation.
     sw: Vec<i32>,
     sw_stamp: Vec<u64>,
+    /// Integer diagonal samples `X_f(u)` of the current forest.
+    xs: Vec<i32>,
     yones: Vec<f64>,
     xdiag: Vec<f64>,
     labels: Vec<u32>,
@@ -163,6 +173,7 @@ impl ElectricalAccumulator {
             } else {
                 Vec::new()
             },
+            xs: vec![0; n],
             xdiag: vec![0.0; n],
             labels: Vec::new(),
             tour: EulerTour::default(),
@@ -297,64 +308,56 @@ impl ElectricalAccumulator {
 
         f.euler_tour_into(&mut self.tour);
         let tour = &self.tour;
-
-        // ---- first-phase: all-ones voltage prefix sums along BFS order ----
         let first_scale = match ctx.mode {
-            DiagMode::FirstPhase { scale } => {
-                for &u in &ctx.bfs_order {
-                    let ui = u as usize;
-                    let pb = ctx.bfs_parent[ui];
-                    if pb == NO_PARENT {
-                        self.yones[ui] = 0.0;
-                        continue;
-                    }
-                    let mut delta = 0.0;
-                    if f.parent[ui] == pb {
-                        delta += tour.subtree_size(u) as f64;
-                    }
-                    let pbi = pb as usize;
-                    if !ctx.in_root[pbi] && f.parent[pbi] == u {
-                        delta -= tour.subtree_size(pb) as f64;
-                    }
-                    self.yones[ui] = self.yones[pbi] + delta;
-                }
-                Some(scale)
-            }
+            DiagMode::FirstPhase { scale } => Some(scale),
             DiagMode::Diagonal => None,
         };
 
-        // ---- diagonal samples via Euler-tour ancestor tests ----
-        for &u in &f.bottomup {
+        // ---- diagonal (and first-phase) samples, one top-down sweep ----
+        // Visiting u after its BFS parent p: if π_u = p, u's forest
+        // ancestors are u and p's, so X(u) = X(p) + 1. If p is not a root
+        // and π_p = u, p's ancestors are p and u's, and p's own forward
+        // term vanishes, so X(u) = X(p). If p is a root, u's path is the
+        // one edge (u, p), so X(u) = X(p) = 0 unless π_u = p. Otherwise
+        // walk u's BFS path. The first-phase all-ones voltage is the
+        // BFS-path prefix sum of the same two edge indicators, weighted by
+        // subtree sizes. Root entries are never written and stay zero.
+        let xs = &mut self.xs;
+        for &u in &ctx.bfs_order {
             let ui = u as usize;
-            let mut x_acc = 0i64;
-            let mut a = u;
-            while !ctx.in_root[a as usize] {
-                let b = ctx.bfs_parent[a as usize];
-                debug_assert_ne!(b, NO_PARENT);
-                if f.parent[a as usize] == b && tour.is_ancestor_or_self(a, u) {
-                    x_acc += 1;
-                }
-                if !ctx.in_root[b as usize]
-                    && f.parent[b as usize] == a
-                    && tour.is_ancestor_or_self(b, u)
-                {
-                    x_acc -= 1;
-                }
-                a = b;
+            let pb = ctx.bfs_parent[ui];
+            if pb == NO_PARENT {
+                continue;
             }
-            let mut sample = x_acc as f64;
+            let pbi = pb as usize;
+            let fwd = f.parent[ui] == pb;
+            let p_root = ctx.in_root[pbi];
+            let back = !p_root && f.parent[pbi] == u;
+            let x = if fwd {
+                xs[pbi] + 1
+            } else if back || p_root {
+                xs[pbi]
+            } else {
+                bfs_path_sample(ctx, f, tour, u)
+            };
+            xs[ui] = x;
+            let mut sample = f64::from(x);
             if let Some(scale) = first_scale {
-                sample -= scale * self.yones[ui];
+                let mut delta = 0.0;
+                if fwd {
+                    delta += tour.subtree_size(u) as f64;
+                }
+                if back {
+                    delta -= tour.subtree_size(pb) as f64;
+                }
+                let y = self.yones[pbi] + delta;
+                self.yones[ui] = y;
+                sample -= scale * y;
             }
             self.xdiag[ui] = sample;
             let abs = sample.abs();
             if abs > self.diag_sup[ui] {
                 self.diag_sup[ui] = abs;
-            }
-        }
-        for r in 0..n {
-            if ctx.in_root[r] {
-                self.xdiag[r] = 0.0;
             }
         }
         self.diag.push(&self.xdiag);
@@ -364,6 +367,25 @@ impl ElectricalAccumulator {
             counts.record_forest(f, &mut self.labels);
         }
     }
+}
+
+/// `X_f(u)` by walking `u`'s BFS path: per edge `(a, b)`, +1 if `π_a = b`
+/// and `a` is `u`'s forest ancestor-or-self, −1 if `π_b = a` and `b` is.
+fn bfs_path_sample(ctx: &Ctx, f: &Forest, tour: &EulerTour, u: Node) -> i32 {
+    let mut x = 0;
+    let mut a = u;
+    while !ctx.in_root[a as usize] {
+        let b = ctx.bfs_parent[a as usize];
+        debug_assert_ne!(b, NO_PARENT);
+        if f.parent[a as usize] == b && tour.is_ancestor_or_self(a, u) {
+            x += 1;
+        }
+        if !ctx.in_root[b as usize] && f.parent[b as usize] == a && tour.is_ancestor_or_self(b, u) {
+            x -= 1;
+        }
+        a = b;
+    }
+    x
 }
 
 /// A node's subtree sum of sketch signs in the current forest.
@@ -713,6 +735,123 @@ mod tests {
             } else {
                 assert!(total <= acc.num_forests(), "u={u} total {total}");
             }
+        }
+    }
+
+    /// One forest's sample of every node against an explicit walk of its
+    /// BFS path with ancestors found by parent pointers. The graph and
+    /// forest are built so the top-down sweep meets each of its cases, the
+    /// three named in `absorb_inner` at depth ≥ 2:
+    ///
+    /// ```text
+    /// graph:  0-1, 0-7, 1-2, 1-4, 1-7, 2-3, 3-4, 2-6, 3-5, 5-6   (root 0)
+    /// BFS:    1←0, 7←0, 2←1, 4←1, 3←2, 6←2, 5←3
+    /// forest: 5 → 6 → 2 → 3 → 4 → 1 → 0, and 7 → 1
+    /// ```
+    ///
+    /// `π_u = p` (X(p) + 1): 1, 4, 6. `π_p = u` with `p` not a root
+    /// (X(p)): 3, whose BFS parent is 2. BFS-path walk: 2 and 5 (5's walk
+    /// meets a −1 term on the edge (3, 2)). Root BFS parent (X = 0): 7.
+    #[test]
+    fn one_forest_samples_match_explicit_bfs_path_walk() {
+        let edges = [
+            (0, 1),
+            (0, 7),
+            (1, 2),
+            (1, 4),
+            (1, 7),
+            (2, 3),
+            (3, 4),
+            (2, 6),
+            (3, 5),
+            (5, 6),
+        ];
+        let n = 8;
+        let g = Graph::from_edges(n, &edges).unwrap();
+        let in_root = mask(n, &[0]);
+        let bfs = bfs_from_set(&g, &[0]);
+        assert_eq!(bfs.parent[1..], [0, 1, 2, 1, 3, 2, 0], "BFS tree as drawn");
+        let mut parent = vec![NO_PARENT; n];
+        for (x, p) in [(5, 6), (6, 2), (2, 3), (3, 4), (4, 1), (1, 0), (7, 1)] {
+            parent[x] = p;
+        }
+        let f = Forest {
+            parent,
+            bottomup: vec![7, 5, 6, 2, 3, 4, 1],
+            ..Forest::default()
+        };
+        f.validate(&g, &in_root);
+
+        let anc = |a: Node, mut u: Node| loop {
+            if u == a {
+                return true;
+            }
+            if f.is_root(u) {
+                return false;
+            }
+            u = f.parent[u as usize];
+        };
+        let size = |a: Node| (0..n as Node).filter(|&v| anc(a, v)).count() as f64;
+        // (X, all-ones voltage) by the explicit walk.
+        let walk = |u: Node| {
+            let (mut x, mut y, mut a) = (0i32, 0.0, u);
+            while a != 0 {
+                let b = bfs.parent[a as usize];
+                if f.parent[a as usize] == b {
+                    x += i32::from(anc(a, u));
+                    y += size(a);
+                }
+                if b != 0 && f.parent[b as usize] == a {
+                    x -= i32::from(anc(b, u));
+                    y -= size(b);
+                }
+                a = b;
+            }
+            (x, y)
+        };
+        // Which branch of the sweep a non-root node takes.
+        let case = |u: Node| {
+            let p = bfs.parent[u as usize];
+            if f.parent[u as usize] == p {
+                "forward"
+            } else if p == 0 {
+                "root parent"
+            } else if f.parent[p as usize] == u {
+                "backward"
+            } else {
+                "walk"
+            }
+        };
+        for c in ["forward", "backward", "walk"] {
+            assert!(
+                (1..n as Node).any(|u| case(u) == c && bfs.depth[u as usize] >= 2),
+                "case {c} is not met at depth >= 2"
+            );
+        }
+        assert_eq!(case(7), "root parent");
+        let xs: Vec<i32> = (0..n as Node).map(|u| walk(u).0).collect();
+        assert_eq!(xs, [0, 1, 1, 1, 2, 0, 2, 0], "walked samples");
+
+        let scale = 2.0 / n as f64;
+        for mode in [DiagMode::Diagonal, DiagMode::FirstPhase { scale }] {
+            let mut acc = ElectricalAccumulator::new(&g, &in_root, None, mode, None);
+            acc.absorb(&f);
+            for u in 1..n as Node {
+                let (x, y) = walk(u);
+                let want = match mode {
+                    DiagMode::Diagonal => f64::from(x),
+                    DiagMode::FirstPhase { scale } => f64::from(x) - scale * y,
+                };
+                let got = acc.diag_means()[u as usize];
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{mode:?}, node {u} ({}): got {got}, walked {want}",
+                    case(u)
+                );
+                assert_eq!(acc.diag_sup(u).to_bits(), want.abs().to_bits());
+            }
+            assert_eq!(acc.diag_means()[0], 0.0, "root");
         }
     }
 

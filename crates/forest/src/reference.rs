@@ -12,6 +12,9 @@
 //! hold at every width), and as plain f64 sums of the sketch entries. At
 //! power-of-4 widths the two agree bit for bit; at other widths (`1/√w`
 //! inexact) the f64 sums round.
+//!
+//! The diagonal samples keep the per-node BFS-path walk on purpose: it is
+//! the check on the accumulator's BFS-parent recurrence.
 
 use crate::estimators::{DiagMode, ElectricalAccumulator};
 use crate::forest::Forest;
@@ -460,6 +463,29 @@ mod tests {
             g,
         };
         check(&case, 8, &wilson_forests(&case, 32, 19), 23);
+    }
+
+    /// A single root, as in the first phase: the deepest BFS trees, so the
+    /// longest chains of the diagonal-sample recurrence.
+    #[test]
+    fn matches_reference_on_grid_with_single_root() {
+        let case = Case {
+            g: generators::grid(24, 24),
+            s: vec![300],
+            t: Vec::new(),
+        };
+        check(&case, 8, &wilson_forests(&case, 32, 47), 53);
+    }
+
+    #[test]
+    fn matches_reference_on_geometric_road_graph_with_single_root() {
+        let g = generators::geometric_with_edges(800, 1000, &mut SmallRng::seed_from_u64(59));
+        let case = Case {
+            s: by_degree(&g, 1),
+            t: Vec::new(),
+            g,
+        };
+        check(&case, 8, &wilson_forests(&case, 32, 61), 67);
     }
 
     /// At power-of-4 widths `1/√w` is a power of two, so every f64 partial
